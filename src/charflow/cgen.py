@@ -28,6 +28,10 @@ Three training modes:
 * self-distill — the teacher path is replaced by the student's own two-hop
   midpoint composition, evaluated without gradient tracking.
 
+Every mode is a step function around the shared loop ``velocity.fit``.
+Losses accept a StudentNet or a plain callable g; only a StudentNet gets a
+gradient.
+
 Sampling is one evaluation of g(0, T, .) per particle, or a few chained
 evaluations over a node list for fine-grained refinement.
 """
@@ -43,8 +47,8 @@ from .net import AdamState, Net, NetSpec
 from .rng import Rng
 from .sampler import TrajectoryBatch
 from .schedule import Schedule, denoiser_coeffs
-from .velocity import (InterpolantBatch, TrainingDiverged, clip_gradient, draw_batch,
-                       estimate_sigma_data)
+from .velocity import (InterpolantBatch, denoiser_target, draw_batch, estimate_sigma_data, fit,
+                       residual_loss)
 
 __all__ = [
     "StudentNet",
@@ -57,7 +61,6 @@ __all__ = [
     "global_loss",
     "self_distill_reference",
     "make_teacher_flow",
-    "sample_time_triples",
     "sample_index_pairs",
     "train_cg",
     "one_step",
@@ -219,17 +222,14 @@ def regression_loss(g, batch: TrajectoryBatch, pairs):
     target = batch.states[i, ell]
     w = np.where(k == ell, 0.5, 1.0)
     n = pairs.shape[0]
-    if isinstance(g, StudentNet):
-        parts = _GParts(g, t, s, Xin)
-        resid = parts.out - target
-        loss = float(np.sum(w * np.sum(resid * resid, axis=1))) / n
-        grad, _ = parts.vjp((2.0 / n) * w[:, None] * resid)
-    else:
-        resid = _eval_g(g, t, s, Xin) - target
-        loss = float(np.sum(w * np.sum(resid * resid, axis=1))) / n
-        grad = None
+    parts = _GParts(g, t, s, Xin) if isinstance(g, StudentNet) else None
+    resid = (parts.out if parts else _eval_g(g, t, s, Xin)) - target
+    loss = float(np.sum(w * np.sum(resid * resid, axis=1))) / n
     if not np.isfinite(loss):
         raise RuntimeError("non-finite regression loss")
+    if parts is None:
+        return loss, None
+    grad, _ = parts.vjp((2.0 / n) * w[:, None] * resid)
     return loss, grad
 
 
@@ -255,18 +255,17 @@ def semigroup_penalty(g, batch: TrajectoryBatch, triples):
         parts_a = _GParts(g, nodes[k], nodes[ell], Xk)
         parts_b = _GParts(g, nodes[j], nodes[ell], Xj)
         delta = parts_a.out - parts_b.out
-        penalty = float(np.sum(delta * delta)) / n
-        up = (2.0 / n) * delta
-        ga, _ = parts_a.vjp(up)
-        gb, _ = parts_b.vjp(up)
-        grad = ga - gb
     else:
         delta = _eval_g(g, nodes[k], nodes[ell], Xk) - _eval_g(g, nodes[j], nodes[ell], Xj)
-        penalty = float(np.sum(delta * delta)) / n
-        grad = None
+    penalty = float(np.sum(delta * delta)) / n
     if not np.isfinite(penalty):
         raise RuntimeError("non-finite semigroup penalty")
-    return penalty, grad
+    if not isinstance(g, StudentNet):
+        return penalty, None
+    up = (2.0 / n) * delta
+    ga, _ = parts_a.vjp(up)
+    gb, _ = parts_b.vjp(up)
+    return penalty, ga - gb
 
 
 def local_loss(student: StudentNet, batch: InterpolantBatch):
@@ -279,17 +278,9 @@ def local_loss(student: StudentNet, batch: InterpolantBatch):
         raise ValueError("local_loss requires a nonempty batch")
     if student.plain:
         raise ValueError("local_loss needs an anchored (non-plain) student")
-    t = batch.t
-    inp, (c_in, c_skip, c_out) = _student_input(student, t, t, batch.xt)
-    pred = nets.forward_batch(student.net, inp)
-    target = (batch.x1 - c_skip[:, None] * batch.xt) / c_out[:, None]
-    resid = pred - target
-    m = batch.size
-    loss = float(np.sum(resid * resid)) / m
-    if not np.isfinite(loss):
-        raise RuntimeError("non-finite local loss")
-    grad, _ = nets.grad_batch(student.net, inp, (2.0 / m) * resid)
-    return loss, grad
+    inp, (_, c_skip, c_out) = _student_input(student, batch.t, batch.t, batch.xt)
+    return residual_loss(student.net, inp, denoiser_target(batch.x1, batch.xt, c_skip, c_out),
+                         "local")
 
 
 def make_teacher_flow(denoiser, schedule: Schedule, steps: int):
@@ -376,14 +367,6 @@ def global_loss(student, offline, teacher_flow, batch: InterpolantBatch, u, s,
     return loss, grad
 
 
-def sample_time_triples(rng: Rng, m: int, T: float):
-    """Nested uniform times t <= u <= s <= T: t~U[0,T], u~U[t,T], s~U[u,T]."""
-    t = T * rng.uniform(m)
-    u = t + (T - t) * rng.uniform(m)
-    s = u + (T - u) * rng.uniform(m)
-    return t, u, s
-
-
 @dataclass
 class CgTrainConfig:
     mode: str                        # "regression" | "practical" | "self-distill"
@@ -393,9 +376,6 @@ class CgTrainConfig:
     iterations: int = 2000
     batch_size: int = 256
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     lambda_local: float = 1.0        # weight of the local risk (practical modes)
     lambda_semigroup: float = 0.0    # weight of the semigroup penalty (regression)
@@ -456,13 +436,10 @@ def train_cg(config: CgTrainConfig, corpus=None, data=None, teacher=None):
 
 def _train_regression(config: CgTrainConfig, corpus: TrajectoryBatch, sigma_data: float):
     student = _init_student(config, sigma_data)
-    state = AdamState(lr=config.lr, beta1=config.beta1, beta2=config.beta2,
-                      eps=config.eps).for_net(student.net)
     K = corpus.grid.steps
-    losses = []
-    for it in range(config.iterations):
-        rng = Rng(config.seed, stream=1 + it)
-        n_particles = min(config.batch_size, corpus.particles)
+    n_particles = min(config.batch_size, corpus.particles)
+
+    def step(rng):
         idx = rng.integers(corpus.particles, n_particles)
         if config.full_pairs:
             k, ell = np.triu_indices(K)
@@ -472,49 +449,42 @@ def _train_regression(config: CgTrainConfig, corpus: TrajectoryBatch, sigma_data
             kl = sample_index_pairs(rng, n_particles * config.pairs_per_particle, K)
             i = np.repeat(idx, config.pairs_per_particle)
             pairs = np.concatenate([i[:, None], kl], axis=1)
-        try:
-            loss, grad = regression_loss(student, corpus, pairs)
-            if config.lambda_semigroup > 0.0:
-                raw = rng.integers(K, (n_particles * config.triples_per_particle, 3))
-                raw.sort(axis=1)
-                i3 = np.repeat(idx, config.triples_per_particle)
-                triples = np.concatenate([i3[:, None], raw], axis=1)
-                pen, pgrad = semigroup_penalty(student, corpus, triples)
-                loss = loss + config.lambda_semigroup * pen
-                grad = grad + config.lambda_semigroup * pgrad
-            losses.append(loss)
-            nets.adam_step(state, student.net, clip_gradient(grad, config.clip_grad_norm))
-        except RuntimeError as exc:
-            raise TrainingDiverged(f"iteration {it}: {exc}", losses) from exc
+        loss, grad = regression_loss(student, corpus, pairs)
+        if config.lambda_semigroup > 0.0:
+            raw = rng.integers(K, (n_particles * config.triples_per_particle, 3))
+            raw.sort(axis=1)
+            i3 = np.repeat(idx, config.triples_per_particle)
+            triples = np.concatenate([i3[:, None], raw], axis=1)
+            pen, pgrad = semigroup_penalty(student, corpus, triples)
+            loss = loss + config.lambda_semigroup * pen
+            grad = grad + config.lambda_semigroup * pgrad
+        return loss, grad
+
+    losses = fit(student.net, step, config.iterations, config.seed, AdamState(lr=config.lr),
+                 config.clip_grad_norm)
     return student, losses
 
 
 def _train_practical(config: CgTrainConfig, data, teacher, sigma_data: float):
     student = _init_student(config, sigma_data)
     offline = student.copy()
-    state = AdamState(lr=config.lr, beta1=config.beta1, beta2=config.beta2,
-                      eps=config.eps).for_net(student.net)
     if config.mode == "practical":
         teacher_flow = make_teacher_flow(teacher, config.schedule, config.teacher_steps)
     else:
         def teacher_flow(t, u, X):
             return self_distill_reference(student, t, u, X)
-    losses = []
-    for it in range(config.iterations):
-        rng = Rng(config.seed, stream=1 + it)
+
+    def step(rng):
         batch = draw_batch(data, config.schedule, config.stop_time, config.batch_size, rng)
         u = batch.t + (config.stop_time - batch.t) * rng.uniform(config.batch_size)
         s = u + (config.stop_time - u) * rng.uniform(config.batch_size)
-        try:
-            l_loc, g_loc = local_loss(student, batch)
-            l_glo, g_glo = global_loss(student, offline, teacher_flow, batch, u, s)
-            loss = config.lambda_local * l_loc + l_glo
-            grad = config.lambda_local * g_loc + g_glo
-            losses.append(loss)
-            nets.adam_step(state, student.net, clip_gradient(grad, config.clip_grad_norm))
-            nets.ema_update(offline.net, student.net, config.ema_rate)
-        except RuntimeError as exc:
-            raise TrainingDiverged(f"iteration {it}: {exc}", losses) from exc
+        l_loc, g_loc = local_loss(student, batch)
+        l_glo, g_glo = global_loss(student, offline, teacher_flow, batch, u, s)
+        return (config.lambda_local * l_loc + l_glo,
+                config.lambda_local * g_loc + g_glo)
+
+    losses = fit(student.net, step, config.iterations, config.seed, AdamState(lr=config.lr),
+                 config.clip_grad_norm, ema=offline.net, ema_rate=config.ema_rate)
     return student, losses
 
 

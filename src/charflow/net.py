@@ -13,13 +13,15 @@ either raw or as Fourier pairs [sin(2*pi*k*t), cos(2*pi*k*t)], k = 1..K, and
 the velocity / generator modules concatenate those features with the state
 before calling ``forward``.
 
-Checkpoints are binary: a magic line, a provenance line, a JSON header (spec
-plus caller extras), then the raw little-endian float64 parameter array;
-they round-trip bit-exactly.
+Checkpoints and trajectory files share one binary frame (``write_frame`` /
+``read_frame``): magic, provenance line, length-prefixed JSON header (here
+the spec plus caller extras), then a little-endian float64 body (here the
+parameters).  Checkpoints round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -43,6 +45,8 @@ __all__ = [
     "lipschitz_bound",
     "save_net",
     "load_net",
+    "write_frame",
+    "read_frame",
 ]
 
 ACTIVATIONS = ("relu", "silu")
@@ -299,42 +303,51 @@ def lipschitz_bound(net: Net, n_iter: int = 64, seed: int = 0) -> float:
     return prod
 
 
-def save_net(path, net: Net, extra: dict | None = None, provenance: str = "charflow"):
-    """Binary checkpoint: magic, provenance, JSON header, float64 params."""
-    header = {
-        "input_dim": net.spec.input_dim,
-        "hidden_dims": list(net.spec.hidden_dims),
-        "output_dim": net.spec.output_dim,
-        "activation": net.spec.activation,
-        "time_features": net.spec.time_features,
-        "fourier_k": net.spec.fourier_k,
-        "extra": extra or {},
-    }
+def write_frame(path, magic: bytes, provenance: str, header: dict, body: np.ndarray):
+    """Binary frame: magic, provenance line, length-prefixed JSON header, <f8 body."""
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
+        fh.write(magic)
         fh.write(f"# {provenance}\n".encode("utf-8"))
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
-        fh.write(net.params.astype("<f8").tobytes())
+        fh.write(body.astype("<f8").tobytes())
+
+
+def read_frame(path, magic: bytes, kind: str, body_count):
+    """Read a frame written by write_frame; returns (header, flat float64 body).
+
+    ``body_count(header)`` gives the number of float64 values the header
+    promises; a header that cannot be read, or a body of any other length,
+    raises ValueError naming the file.
+    """
+    with open(path, "rb") as fh:
+        if fh.read(len(magic)) != magic:
+            raise ValueError(f"{path} is not a charflow {kind}")
+        fh.readline()  # provenance
+        size = int.from_bytes(fh.read(8), "little")
+        blob = fh.read(size)
+        body = fh.read()
+    try:
+        header = json.loads(blob.decode("utf-8"))
+        expected = body_count(header)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: unreadable {kind} header ({exc})") from exc
+    if len(body) != 8 * expected:
+        raise ValueError(f"{path}: {kind} header promises {expected} float64 values, "
+                         f"found {len(body) / 8:.10g}")
+    return header, np.frombuffer(body, dtype="<f8").copy()
+
+
+def save_net(path, net: Net, extra: dict | None = None, provenance: str = "charflow"):
+    """Binary checkpoint: the spec fields and extras as header, the params as body."""
+    header = {**dataclasses.asdict(net.spec), "extra": extra or {}}
+    write_frame(path, CHECKPOINT_MAGIC, provenance, header, net.params)
 
 
 def load_net(path):
     """Read a checkpoint written by save_net; returns (net, extra)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path} is not a charflow net checkpoint")
-        fh.readline()  # provenance
-        size = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(size).decode("utf-8"))
-        params = np.frombuffer(fh.read(), dtype="<f8").copy()
-    spec = NetSpec(
-        input_dim=header["input_dim"],
-        hidden_dims=tuple(header["hidden_dims"]),
-        output_dim=header["output_dim"],
-        activation=header["activation"],
-        time_features=header["time_features"],
-        fourier_k=header["fourier_k"],
-    )
-    return Net(spec, params), header["extra"]
+    spec = lambda header: NetSpec(**{k: v for k, v in header.items() if k != "extra"})
+    header, params = read_frame(path, CHECKPOINT_MAGIC, "net checkpoint",
+                                lambda h: spec(h).param_count)
+    return Net(spec(header), params), header["extra"]

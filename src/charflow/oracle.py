@@ -95,14 +95,6 @@ def posterior_atom_weights(ctx: OracleContext, t, x) -> np.ndarray:
     return w / w.sum(axis=1, keepdims=True)
 
 
-def posterior_atom_mean(ctx: OracleContext, t, x) -> np.ndarray:
-    """E[U_{t,x}]: the posterior mean over atom locations."""
-    X, squeeze = _as_batch(x)
-    w = posterior_atom_weights(ctx, t, X)
-    mean = w @ ctx.spec.atoms
-    return mean[0] if squeeze else mean
-
-
 def gamma_coefficient(schedule: Schedule, sigma: float, t):
     """(a da + sigma^2 b db)/(a^2 + sigma^2 b^2): the linear-in-x velocity factor."""
     a, b, da, db = schedule.coeffs(t)

@@ -30,10 +30,6 @@ class Rng:
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def spawn(self, stream: int) -> "Rng":
-        """Substream of the same seed, e.g. one per particle."""
-        return Rng(self.seed, stream)
-
     def uniform(self, shape=None) -> np.ndarray:
         """Uniform float64 draws in [0, 1)."""
         return self._gen.random(size=shape, dtype=np.float64)

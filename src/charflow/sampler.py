@@ -8,18 +8,19 @@ uniform grid; ``push_samples`` integrates a batch of prior draws and stores
 all intermediate states, which is the training corpus for characteristic
 regression.
 
-Trajectory files are binary: magic, provenance line, JSON header
-(m, K, d, T, schedule kind, seed), then the states as row-major little-endian
-float64.  Endpoint sets reuse the CSV point format from the target module.
+Trajectory files use the checkpoints' binary frame (``net.write_frame``):
+magic, provenance line, JSON header (m, K, d, T, schedule kind, seed), then
+the states as row-major little-endian float64.  Endpoint sets reuse the CSV
+point format from the target module.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .net import read_frame, write_frame
 from .rng import Rng
 from .schedule import Schedule
 
@@ -156,26 +157,14 @@ def save_trajectories(path, batch: TrajectoryBatch, schedule_kind: str = "",
         "schedule": schedule_kind,
         "seed": batch.seed,
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(TRAJECTORY_MAGIC)
-        fh.write(f"# {provenance}\n".encode("utf-8"))
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        fh.write(batch.states.astype("<f8").tobytes())
+    write_frame(path, TRAJECTORY_MAGIC, provenance, header, batch.states)
 
 
 def load_trajectories(path):
     """Returns (TrajectoryBatch, schedule_kind)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(TRAJECTORY_MAGIC))
-        if magic != TRAJECTORY_MAGIC:
-            raise ValueError(f"{path} is not a charflow trajectory file")
-        fh.readline()
-        size = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(size).decode("utf-8"))
-        body = np.frombuffer(fh.read(), dtype="<f8")
+    header, body = read_frame(path, TRAJECTORY_MAGIC, "trajectory file",
+                              lambda h: h["m"] * (h["K"] + 1) * h["d"])
     m, K, d = header["m"], header["K"], header["d"]
-    states = body.reshape(m, K + 1, d).copy()
-    grid = TimeGrid(stop_time=header["T"], steps=K)
-    return TrajectoryBatch(grid=grid, states=states, seed=header["seed"]), header["schedule"]
+    batch = TrajectoryBatch(grid=TimeGrid(stop_time=header["T"], steps=K),
+                            states=body.reshape(m, K + 1, d), seed=header["seed"])
+    return batch, header["schedule"]

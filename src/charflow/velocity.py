@@ -8,9 +8,10 @@ X_0 ~ N(0, I) and data draws X_1, and regresses either
   F(c_noise(t), c_in(t) X_t), the unit-variance parameterization under which
   the effective loss weight is identically 1.
 
-Both losses return exact parameter gradients.  ``train`` runs plain Adam on
-fresh batches, one substream per iteration, so runs are reproducible from
-the config seed alone.
+Both losses (and the generator's local loss) share one squared-residual pass
+with exact parameter gradients.  ``fit``, the package's one training loop,
+runs Adam with one substream per iteration, so runs are reproducible from
+the config seed alone; ``train`` and every generator mode step through it.
 
 Field callables produced here follow one convention package-wide:
 ``f(t, X) -> (m, d)`` where t is a scalar or an (m,) array and X is (m, d).
@@ -34,13 +35,15 @@ __all__ = [
     "draw_batch",
     "velocity_loss",
     "denoiser_loss",
+    "residual_loss",
+    "denoiser_target",
+    "fit",
     "train",
     "velocity_from_denoiser",
     "make_velocity",
     "make_denoiser",
     "denoiser_to_velocity_field",
     "estimate_sigma_data",
-    "default_stop_time",
     "clip_gradient",
 ]
 
@@ -63,6 +66,28 @@ def clip_gradient(grad: np.ndarray, max_norm: float | None) -> np.ndarray:
     return grad
 
 
+def fit(net: Net, step, iterations: int, seed: int, adam: AdamState,
+        clip_grad_norm: float | None = None, ema: Net | None = None, ema_rate: float = 0.999):
+    """Adam on ``net`` in place; returns the per-iteration losses.
+
+    Iteration k takes ``(loss, grad) = step(Rng(seed, stream=1 + k))``, an
+    Adam step on the clipped grad, then the optional EMA update.  A
+    RuntimeError becomes TrainingDiverged carrying the losses so far.
+    """
+    adam.for_net(net)
+    losses = []
+    for it in range(iterations):
+        try:
+            loss, grad = step(Rng(seed, stream=1 + it))
+            losses.append(loss)
+            nets.adam_step(adam, net, clip_gradient(grad, clip_grad_norm))
+            if ema is not None:
+                nets.ema_update(ema, net, ema_rate)
+        except RuntimeError as exc:
+            raise TrainingDiverged(f"iteration {it}: {exc}", losses) from exc
+    return losses
+
+
 @dataclass(frozen=True)
 class InterpolantBatch:
     """Times, endpoint draws, interpolants and regression targets for one batch."""
@@ -80,11 +105,6 @@ class InterpolantBatch:
     @property
     def dim(self) -> int:
         return self.x0.shape[1]
-
-
-def default_stop_time(schedule: Schedule) -> float:
-    """Fixed stop-time defaults: 0.99 (linear), 0.999 (follmer)."""
-    return 0.99 if schedule.kind == "linear" else 0.999
 
 
 @dataclass
@@ -135,17 +155,25 @@ def _net_input(net: Net, t, X) -> np.ndarray:
     return np.concatenate([tf, X], axis=1)
 
 
-def velocity_loss(net: Net, batch: InterpolantBatch):
-    """Mean squared velocity-matching residual and its exact parameter gradient."""
-    inp = _net_input(net, batch.t, batch.xt)
-    pred = nets.forward_batch(net, inp)
-    resid = pred - batch.yt
-    m = batch.size
+def residual_loss(net: Net, inp: np.ndarray, target: np.ndarray, name: str):
+    """Mean over rows of ||net(inp) - target||^2 and its exact parameter gradient."""
+    resid = nets.forward_batch(net, inp) - target
+    m = inp.shape[0]
     loss = float(np.sum(resid * resid)) / m
     if not np.isfinite(loss):
-        raise RuntimeError("non-finite velocity loss")
+        raise RuntimeError(f"non-finite {name} loss")
     grad, _ = nets.grad_batch(net, inp, (2.0 / m) * resid)
     return loss, grad
+
+
+def denoiser_target(x1: np.ndarray, xt: np.ndarray, c_skip: np.ndarray, c_out: np.ndarray):
+    """Unit-variance F-space target (X_1 - c_skip X_t)/c_out."""
+    return (x1 - c_skip[:, None] * xt) / c_out[:, None]
+
+
+def velocity_loss(net: Net, batch: InterpolantBatch):
+    """Mean squared velocity-matching residual and its exact parameter gradient."""
+    return residual_loss(net, _net_input(net, batch.t, batch.xt), batch.yt, "velocity")
 
 
 def denoiser_loss(net: Net, batch: InterpolantBatch, sigma_data: float, schedule: Schedule):
@@ -157,15 +185,7 @@ def denoiser_loss(net: Net, batch: InterpolantBatch, sigma_data: float, schedule
     """
     c_in, c_skip, c_out, c_noise, _ = denoiser_coeffs(schedule, batch.t, sigma_data)
     inp = _net_input(net, c_noise, c_in[:, None] * batch.xt)
-    pred = nets.forward_batch(net, inp)
-    target = (batch.x1 - c_skip[:, None] * batch.xt) / c_out[:, None]
-    resid = pred - target
-    m = batch.size
-    loss = float(np.sum(resid * resid)) / m
-    if not np.isfinite(loss):
-        raise RuntimeError("non-finite denoiser loss")
-    grad, _ = nets.grad_batch(net, inp, (2.0 / m) * resid)
-    return loss, grad
+    return residual_loss(net, inp, denoiser_target(batch.x1, batch.xt, c_skip, c_out), "denoiser")
 
 
 def estimate_sigma_data(data: np.ndarray) -> float:
@@ -183,24 +203,18 @@ def train(config: TrainConfig, data: np.ndarray):
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     net = nets.net_init(config.net_spec, config.seed)
-    state = AdamState(lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps).for_net(net)
     sigma_data = config.sigma_data
     if config.loss == "denoiser" and sigma_data is None:
         sigma_data = estimate_sigma_data(data)
-    losses = []
-    for it in range(config.iterations):
-        batch = draw_batch(data, config.schedule, config.stop_time, config.batch_size,
-                           Rng(config.seed, stream=1 + it))
-        try:
-            if config.loss == "velocity":
-                loss, grad = velocity_loss(net, batch)
-            else:
-                loss, grad = denoiser_loss(net, batch, sigma_data, config.schedule)
-            losses.append(loss)
-            nets.adam_step(state, net, clip_gradient(grad, config.clip_grad_norm))
-        except RuntimeError as exc:
-            raise TrainingDiverged(f"iteration {it}: {exc}", losses) from exc
-    return net, losses
+
+    def step(rng):
+        batch = draw_batch(data, config.schedule, config.stop_time, config.batch_size, rng)
+        if config.loss == "velocity":
+            return velocity_loss(net, batch)
+        return denoiser_loss(net, batch, sigma_data, config.schedule)
+
+    adam = AdamState(lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
+    return net, fit(net, step, config.iterations, config.seed, adam, config.clip_grad_norm)
 
 
 def velocity_from_denoiser(denoiser, schedule: Schedule, t, x) -> np.ndarray:

@@ -8,10 +8,11 @@ from charflow.cgen import (CgTrainConfig, StudentNet, g_apply, global_loss, loca
 from charflow.net import Net, NetSpec, net_init
 from charflow.oracle import OracleContext, denoiser_exact, flow_exact, velocity_exact
 from charflow.rng import Rng
-from charflow.sampler import TimeGrid, TrajectoryBatch, push_samples
+from charflow.sampler import TimeGrid, push_samples
 from charflow.schedule import Schedule, denoiser_coeffs
 from charflow.target import atomic_mixture, sample_target
-from charflow.velocity import draw_batch
+from charflow.velocity import TrainingDiverged, draw_batch
+from charflow.verify import trajectory_lookup
 
 LINEAR = Schedule("linear")
 FOLLMER = Schedule("follmer")
@@ -28,6 +29,24 @@ def _gauss_corpus(m=16, K=12, T=0.9, seed=0):
     ctx = OracleContext(GAUSS1, LINEAR)
     grid = TimeGrid(stop_time=T, steps=K)
     return push_samples("euler", lambda t, X: velocity_exact(ctx, t, X), m, 1, grid, seed=seed)
+
+
+def _affine_g_hand(params, sigma_d, t, s, x):
+    """g(t, s, x) by hand for a linear-schedule student with no hidden layer."""
+    c_in, c_skip, c_out, _, _ = denoiser_coeffs(LINEAR, np.array([t]), sigma_d)
+    f = params[0] * t + params[1] * s + params[2] * (c_in[0] * x) + params[3]
+    phi, psi = LINEAR.ei_coeffs(t, s)
+    return phi * x + psi * (c_skip[0] * x + c_out[0] * f)
+
+
+def _exact_g(t, s, X, sigma=0.5):
+    """Closed-form flow map of the GAUSS1 target under the linear schedule."""
+    X = np.atleast_2d(X)
+    t = np.broadcast_to(np.asarray(t, dtype=float), (X.shape[0],))
+    s = np.broadcast_to(np.asarray(s, dtype=float), (X.shape[0],))
+    fac = np.sqrt((LINEAR.alpha(s) ** 2 + sigma**2 * LINEAR.beta(s) ** 2)
+                  / (LINEAR.alpha(t) ** 2 + sigma**2 * LINEAR.beta(t) ** 2))
+    return fac[:, None] * X
 
 
 class TestGApply:
@@ -54,19 +73,13 @@ class TestGApply:
     def test_path_averaged_denoiser_reproduces_exact_flow(self):
         # the anchoring identity: with D_S = (g* - phi x)/psi the map equals g*
         ctx = OracleContext(GAUSS1, LINEAR)
-        sigma = 0.5
-
-        def factor(t):
-            return LINEAR.alpha(t) ** 2 + sigma**2 * LINEAR.beta(t) ** 2
-
         rng = Rng(3)
         for _ in range(10):
             t = 0.8 * rng.uniform()
             s = t + (0.9 - t) * rng.uniform() + 1e-6
             x = 2.0 * rng.normal((4, 1))
             phi, psi = LINEAR.ei_coeffs(t, s)
-            fstar = np.sqrt(factor(s) / factor(t))
-            d_bar = ((fstar - phi) / psi) * x
+            d_bar = (_exact_g(t, s, x) - phi * x) / psi
             reference = flow_exact(ctx, t, min(s, 0.999), x, tol=1e-11)
             assert np.max(np.abs(phi * x + psi * d_bar - reference)) < 1e-8
 
@@ -83,24 +96,6 @@ class TestGApply:
             student_denoiser(_student(plain=True), 0.1, 0.2, np.zeros(1))
 
 
-def _lookup_g(batch: TrajectoryBatch):
-    nodes = batch.grid.nodes
-
-    def lookup(t, s, X):
-        X = np.atleast_2d(X)
-        t = np.broadcast_to(np.asarray(t, dtype=float), (X.shape[0],))
-        s = np.broadcast_to(np.asarray(s, dtype=float), (X.shape[0],))
-        out = np.empty_like(X)
-        for r in range(X.shape[0]):
-            k = int(np.argmin(np.abs(nodes - t[r])))
-            ell = int(np.argmin(np.abs(nodes - s[r])))
-            hit = np.where(np.all(batch.states[:, k, :] == X[r], axis=1))[0][0]
-            out[r] = batch.states[hit, ell, :]
-        return out
-
-    return lookup
-
-
 class TestRegressionLoss:
     def test_lookup_map_zero_loss(self):
         corpus = _gauss_corpus()
@@ -109,7 +104,7 @@ class TestRegressionLoss:
             rng.integers(corpus.particles, (80,))[:, None],
             sample_index_pairs(rng, 80, corpus.grid.steps),
         ], axis=1)
-        loss, grad = regression_loss(_lookup_g(corpus), corpus, pairs)
+        loss, grad = regression_loss(trajectory_lookup(corpus), corpus, pairs)
         assert loss == 0.0
         assert grad is None
 
@@ -167,7 +162,7 @@ class TestSemigroupPenalty:
         raw = rng.integers(corpus.grid.steps, (60, 3))
         raw.sort(axis=1)
         triples = np.concatenate([rng.integers(corpus.particles, (60,))[:, None], raw], axis=1)
-        pen, grad = semigroup_penalty(_lookup_g(corpus), corpus, triples)
+        pen, grad = semigroup_penalty(trajectory_lookup(corpus), corpus, triples)
         assert pen == 0.0 and grad is None
 
     def test_k_equals_j_contributes_zero(self):
@@ -182,7 +177,7 @@ class TestSemigroupPenalty:
         # g = lookup + c*t: the branches disagree by exactly c*(t_k - t_j)
         corpus = _gauss_corpus(m=2, K=3)
         nodes = corpus.grid.nodes
-        lookup = _lookup_g(corpus)
+        lookup = trajectory_lookup(corpus)
         c = 0.37
 
         def shifted(t, s, X):
@@ -253,17 +248,6 @@ class TestLocalLoss:
 
 class TestGlobalLoss:
     def test_exact_flow_everywhere_gives_zero(self):
-        ctx = OracleContext(GAUSS1, LINEAR)
-        sigma = 0.5
-
-        def exact_g(t, s, X):
-            X = np.atleast_2d(X)
-            t = np.broadcast_to(np.asarray(t, dtype=float), (X.shape[0],))
-            s = np.broadcast_to(np.asarray(s, dtype=float), (X.shape[0],))
-            fac = np.sqrt((LINEAR.alpha(s) ** 2 + sigma**2 * LINEAR.beta(s) ** 2)
-                          / (LINEAR.alpha(t) ** 2 + sigma**2 * LINEAR.beta(t) ** 2))
-            return fac[:, None] * X
-
         data = sample_target(GAUSS1, 64, seed=20)
         batch = draw_batch(data, LINEAR, 0.9, 16, seed=21)
         rng = Rng(22)
@@ -271,7 +255,7 @@ class TestGlobalLoss:
         s = u + (0.9 - u) * rng.uniform(16)
 
         # use the closed-form flow for student, offline and teacher path alike
-        loss, grad = global_loss(exact_g, exact_g, exact_g, batch, u, s, stop_time=0.9)
+        loss, grad = global_loss(_exact_g, _exact_g, _exact_g, batch, u, s, stop_time=0.9)
         assert loss < 1e-24
         assert grad is None
 
@@ -290,7 +274,6 @@ class TestGlobalLoss:
         assert np.array_equal(grad, np.zeros_like(grad))
 
     def test_affine_student_matches_hand_rolled_evaluation(self):
-        d = 1
         sch = LINEAR
         sigma_d = 0.8
         spec = NetSpec(3, (), 1)
@@ -301,13 +284,7 @@ class TestGlobalLoss:
         c_teacher = 0.31
         teacher = make_teacher_flow(lambda t, X: np.full_like(np.atleast_2d(X), c_teacher),
                                     sch, steps=2)
-
-        def g_hand(params, t, s, x):
-            c_in, c_skip, c_out, _, _ = denoiser_coeffs(sch, np.array([t]), sigma_d)
-            f = params[0] * t + params[1] * s + params[2] * (c_in[0] * x) + params[3]
-            d_s = c_skip[0] * x + c_out[0] * f
-            phi, psi = sch.ei_coeffs(t, s)
-            return phi * x + psi * d_s
+        g_hand = lambda params, t, s, x: _affine_g_hand(params, sigma_d, t, s, x)
 
         def teacher_hand(t, u, x):
             y = x
@@ -358,20 +335,9 @@ class TestGlobalLoss:
 
 class TestSelfDistill:
     def test_exact_flow_is_fixed_point(self):
-        ctx = OracleContext(GAUSS1, LINEAR)
-        sigma = 0.5
-
-        def exact_g(t, s, X):
-            X = np.atleast_2d(X)
-            t = np.broadcast_to(np.asarray(t, dtype=float), (X.shape[0],))
-            s = np.broadcast_to(np.asarray(s, dtype=float), (X.shape[0],))
-            fac = np.sqrt((LINEAR.alpha(s) ** 2 + sigma**2 * LINEAR.beta(s) ** 2)
-                          / (LINEAR.alpha(t) ** 2 + sigma**2 * LINEAR.beta(t) ** 2))
-            return fac[:, None] * X
-
         x = Rng(37).normal((8, 1))
-        ref = self_distill_reference(exact_g, 0.1, 0.8, x)
-        assert np.max(np.abs(ref - exact_g(0.1, 0.8, x))) < 1e-12
+        ref = self_distill_reference(_exact_g, 0.1, 0.8, x)
+        assert np.max(np.abs(ref - _exact_g(0.1, 0.8, x))) < 1e-12
 
     def test_identity_at_equal_times(self):
         student = _student(seed=38)
@@ -384,17 +350,11 @@ class TestSelfDistill:
         spec = NetSpec(3, (), 1)
         w = np.array([0.2, -0.1, 0.5, 0.03])
         student = StudentNet(Net(spec, w.copy()), sch, 0.9, sigma_d)
-
-        def g_hand(t, s, x):
-            c_in, c_skip, c_out, _, _ = denoiser_coeffs(sch, np.array([t]), sigma_d)
-            f = w[0] * t + w[1] * s + w[2] * (c_in[0] * x) + w[3]
-            phi, psi = sch.ei_coeffs(t, s)
-            return phi * x + psi * (c_skip[0] * x + c_out[0] * f)
-
         t, s, x = 0.15, 0.75, 1.3
         u = 0.5 * (t + s)
         out = self_distill_reference(student, t, s, np.array([x]))
-        assert out[0] == pytest.approx(g_hand(u, s, g_hand(t, u, x)), rel=1e-12)
+        hand = _affine_g_hand(w, sigma_d, u, s, _affine_g_hand(w, sigma_d, t, u, x))
+        assert out[0] == pytest.approx(hand, rel=1e-12)
 
 
 class TestTrainCg:
@@ -460,6 +420,30 @@ class TestTrainCg:
                                sigma_data=0.5)
         student, losses = train_cg(config, data=data)
         assert np.all(np.isfinite(losses))
+
+    @pytest.mark.parametrize("mode, iteration, loss", [("regression", 4, "regression"),
+                                                        ("practical", 3, "global")])
+    def test_divergence_keeps_partial_log(self, mode, iteration, loss):
+        # regression: particle 0's path overflows the residual, and seed 3's one-particle
+        # batches first draw it in iteration 4; practical: the teacher (two flow substeps
+        # per iteration) turns non-finite in iteration 3
+        corpus = _gauss_corpus(m=4, K=6)
+        corpus.states[0] = 1e200
+        calls = []
+
+        def teacher(t, X):
+            calls.append(t)
+            return X if len(calls) <= 6 else np.full_like(X, np.nan)
+
+        config = CgTrainConfig(mode=mode, schedule=LINEAR, net_spec=NetSpec(3, (8,), 1),
+                               stop_time=0.9, iterations=50, batch_size=1, seed=3,
+                               teacher_steps=2, sigma_data=0.5)
+        inputs = ({"corpus": corpus} if mode == "regression" else
+                  {"data": sample_target(GAUSS1, 64, seed=51), "teacher": teacher})
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged) as info:
+            train_cg(config, **inputs)
+        assert len(info.value.losses) == iteration and np.all(np.isfinite(info.value.losses))
+        assert str(info.value) == f"iteration {iteration}: non-finite {loss} loss"
 
     def test_plain_student_learns_the_diagonal(self):
         # nothing anchors g(t,t,.) = x for a plain net; the half-weighted diagonal

@@ -5,6 +5,7 @@ import pytest
 
 from charflow.cli import main
 from charflow.metrics import load_reports
+from charflow.net import NetSpec, net_init, save_net
 from charflow.target import load_points
 
 TINY_PIPELINE = """
@@ -135,3 +136,16 @@ def test_verify_command(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "all 10 checks passed" in text
     assert os.path.exists(out / "verify_report.txt")
+
+
+
+def test_truncated_student_checkpoint_fails_with_one_line(workspace, capsys):
+    cfg, out = workspace
+    path = os.path.join(out, "student.ckpt")
+    os.makedirs(out)
+    save_net(path, net_init(NetSpec(4, (16, 16), 2), 0))
+    with open(path, "r+b") as fh:
+        fh.truncate(os.path.getsize(path) - 3)
+    assert _run(cfg, out, "sample") == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and path in lines[0]

@@ -6,6 +6,7 @@ from charflow.net import (AdamState, Net, NetSpec, adam_step, ema_update, forwar
                           grad_batch, lipschitz_bound, load_net, net_forward, net_grad,
                           net_init, save_net, time_features)
 from charflow.rng import Rng
+from charflow.sampler import TimeGrid, TrajectoryBatch, load_trajectories, save_trajectories
 
 
 class TestInit:
@@ -235,3 +236,32 @@ def test_checkpoint_round_trip(tmp_path):
     assert got_extra == extra
     with pytest.raises(ValueError):
         load_net(__file__)
+
+
+
+def _framed_file(kind, path):
+    """Write a small framed file; returns its loader and its float64 body length."""
+    if kind == "checkpoint":
+        save_net(path, net_init(NetSpec(3, (5,), 2), 1))
+        return load_net, 32
+    save_trajectories(path, TrajectoryBatch(TimeGrid(0.9, 4), np.zeros((3, 5, 2)), seed=0))
+    return load_trajectories, 30
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "trajectories"])
+@pytest.mark.parametrize("damage", ["cut-3-bytes", "cut-16-bytes", "header-only", "8-extra-bytes",
+                                    "json-cut"])
+def test_damaged_frame_error_names_the_file(tmp_path, kind, damage):
+    path = tmp_path / "framed.bin"
+    load, floats = _framed_file(kind, path)
+    raw = path.read_bytes()
+    body_start = len(raw) - 8 * floats
+    damaged = {"cut-3-bytes": raw[:-3], "cut-16-bytes": raw[:-16], "header-only": raw[:body_start],
+               "8-extra-bytes": raw + bytes(8), "json-cut": raw[:body_start - 5]}[damage]
+    path.write_bytes(damaged)
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(path) in str(info.value)
+    found = (len(damaged) - body_start) / 8
+    assert ("unreadable" if damage == "json-cut" else
+            f"promises {floats} float64 values, found {found:.10g}") in str(info.value)
