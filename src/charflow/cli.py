@@ -283,12 +283,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override [run] seed")
     args = parser.parse_args(argv)
 
-    cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg.sections["run"]["seed"] = args.seed
-    os.makedirs(args.out, exist_ok=True)
-    _echo_config(cfg, args.out)
     try:
+        cfg = parse_config(args.config)
+        if args.seed is not None:
+            cfg.sections["run"]["seed"] = args.seed
+        os.makedirs(args.out, exist_ok=True)
+        _echo_config(cfg, args.out)
         return HANDLERS[args.command](cfg, args.out)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,6 +4,8 @@ The file format is standard INI (``[section]`` headers, ``key = value``
 lines, ``#`` comments).  Every key has a declared type and default; unknown
 sections or keys are rejected by name, and parse -> serialize -> parse is
 the identity on effective configurations (serialization writes every key).
+Integer sizes and counts must be at least 1 and iteration counts at least
+0; ``[run] seed`` is not bounded here.
 
 Point lists (mixture atoms, frame rows) are written as ';'-separated points
 with ','-separated coordinates, e.g. ``atoms = -1;1`` (1-D) or
@@ -201,6 +203,13 @@ def parse_config(path) -> RunConfig:
 
 
 def _validate(cfg: RunConfig):
+    for name, spec in SCHEMA.items():
+        for key, (kind, _, _) in spec.items():
+            if kind != "int" or (name, key) == ("run", "seed"):
+                continue
+            low = 0 if key == "iterations" else 1  # every other int key is a size or a count
+            if cfg[name][key] < low:
+                raise ValueError(f"{name}.{key} must be >= {low}, got {cfg[name][key]}")
     tgt = cfg["target"]
     if tgt["variant"] in ("atomic", "embedded") and tgt["atoms"] is None:
         raise ValueError("mixture targets require target.atoms")

@@ -6,7 +6,12 @@ layer-major: for each layer, the weight matrix W (out, in) in row-major
 order, followed by the bias (out,).  Gradients are computed by hand-rolled
 backprop; ``grad_batch`` returns both the parameter gradient of
 ``sum_i <upstream_i, f(x_i)>`` and the per-row input gradients, which is all
-the vector-Jacobian machinery the training losses need.
+the vector-Jacobian machinery the training losses need.  The forward cache
+(``forward_batch(..., want_cache=True)``) holds each hidden layer's
+pre-activation, activation and, for SiLU, the sigmoid, which ``grad_batch``
+reuses instead of recomputing it; without a cache the forward pass adds the
+bias and applies the activation in place.  Both paths give the same bits as
+``z = h @ W.T + b`` followed by ``z * (1 / (1 + exp(-z)))`` or ``max(z, 0)``.
 
 Time conditioning is the caller's job: ``time_features`` embeds scalar times
 either raw or as Fourier pairs [sin(2*pi*k*t), cos(2*pi*k*t)], k = 1..K, and
@@ -146,39 +151,57 @@ def net_init(spec: NetSpec, seed: int) -> Net:
     return Net(spec, np.concatenate(chunks))
 
 
-def _act(z, kind):
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    sig = 1.0 / (1.0 + np.exp(-z))
-    return z * sig
+def _sigmoid(z, out=None):
+    """1 / (1 + exp(-z)) with one exp, written into ``out`` (a new array by default)."""
+    s = np.negative(z, out=out)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
-def _act_grad(z, kind):
-    if kind == "relu":
+def _act_grad(z, sig):
+    """Activation derivative at z; sig is the cached sigmoid (None for ReLU)."""
+    if sig is None:
         return (z > 0.0).astype(np.float64)
-    sig = 1.0 / (1.0 + np.exp(-z))
     return sig * (1.0 + z * (1.0 - sig))
 
 
 def forward_batch(net: Net, X: np.ndarray, want_cache: bool = False):
-    """MLP forward pass on rows of X (m, input_dim)."""
+    """MLP forward pass on rows of X (m, input_dim).
+
+    With ``want_cache`` also returns ``(pre, post, sigs)`` for ``grad_batch``:
+    per hidden layer the pre-activation, the activation (post[0] is X) and
+    the SiLU sigmoid (None for ReLU).  Without it the bias and activation
+    are applied in place, so each layer allocates only its matmul output.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.spec.input_dim:
         raise ValueError(f"input shape {X.shape} does not match input_dim {net.spec.input_dim}")
     layers = _unpack(net)
-    act = net.spec.activation
+    silu = net.spec.activation == "silu"
     h = X
-    pre, post = [], [X]
+    pre, post, sigs = [], [X], []
+    buf = None
     for w, b in layers[:-1]:
-        z = h @ w.T + b
-        h = _act(z, act)
+        z = h @ w.T
+        z += b
         if want_cache:
+            sig = _sigmoid(z) if silu else None
+            h = z * sig if silu else np.maximum(z, 0.0)
             pre.append(z)
             post.append(h)
+            sigs.append(sig)
+        elif silu:
+            if buf is None or buf.shape != z.shape:
+                buf = np.empty_like(z)
+            h = np.multiply(z, _sigmoid(z, out=buf), out=z)
+        else:
+            h = np.maximum(z, 0.0, out=z)
     w, b = layers[-1]
-    out = h @ w.T + b
+    out = h @ w.T
+    out += b
     if want_cache:
-        return out, (pre, post)
+        return out, (pre, post, sigs)
     return out
 
 
@@ -203,10 +226,9 @@ def grad_batch(net: Net, X: np.ndarray, upstream: np.ndarray, cache=None):
     if upstream.shape != (X.shape[0], net.spec.output_dim):
         raise ValueError(f"upstream shape {upstream.shape} does not match output_dim")
     layers = _unpack(net)
-    act = net.spec.activation
     if cache is None:
         _, cache = forward_batch(net, X, want_cache=True)
-    pre, post = cache
+    pre, post, sigs = cache
 
     grads = [None] * len(layers)
     delta = upstream
@@ -217,7 +239,7 @@ def grad_batch(net: Net, X: np.ndarray, upstream: np.ndarray, cache=None):
         grads[i] = (gw, gb)
         delta = delta @ w
         if i > 0:
-            delta = delta * _act_grad(pre[i - 1], act)
+            delta = delta * _act_grad(pre[i - 1], sigs[i - 1])
     param_grad = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
     return param_grad, delta
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .net import read_frame, write_frame
-from .rng import Rng
+from .rng import stream_normals
 from .schedule import Schedule
 
 __all__ = [
@@ -131,11 +131,11 @@ def push_samples(method: str, field, m: int, dim: int, grid: TimeGrid, seed: int
     ``method`` is "euler" (field = velocity callable) or "ei" (field =
     denoiser callable; requires the schedule).  Particle i's prior draw
     comes from substream i of the seed, so any particle subset is
-    reproducible in isolation.
+    reproducible in isolation (``rng.stream_normals`` draws them all at once).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    x0 = np.stack([Rng(seed, stream=i).normal((dim,)) for i in range(m)])
+    x0 = stream_normals(seed, m, dim)
     if method == "euler":
         states = euler_flow(field, x0, grid)
     elif method == "ei":

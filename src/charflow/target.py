@@ -8,7 +8,8 @@ point (r*cos(theta), r*sin(theta)) plus Gaussian noise, then a fixed affine
 rescale 1/(1 + 4*noise) so the support sits inside [-1, 1]^2.
 
 Point sets serialize to CSV with one leading provenance comment line, then a
-header ``x0,...,x{d-1}``, one row per point.
+header ``x0,...,x{d-1}``, one row per point; a row of the wrong width or a
+field that is not a number fails to load with an error naming file and line.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ SWISS_THETA_HI = 4.5 * np.pi
 
 WEIGHT_SUM_TOL = 1e-12
 FRAME_ORTHO_TOL = 1e-10
+
+CSV_BLOCK_ROWS = 1024  # rows per format call in save_points; bounds the writer's memory
 
 
 @dataclass(frozen=True)
@@ -159,23 +162,45 @@ def _choose_atoms(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def save_points(path, points: np.ndarray, provenance: str = "charflow"):
-    """Write a point set as CSV: provenance comment, header, one row per point."""
+    """Write a point set as CSV: provenance comment, header, one row per point.
+
+    Rows go out in blocks of CSV_BLOCK_ROWS, each formatted by one ``%r``
+    format call (``%r`` of a float is its repr, the round-trip form).
+    """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     d = points.shape[1]
+    row = ",".join(["%r"] * d) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {provenance}\n")
         fh.write(",".join(f"x{i}" for i in range(d)) + "\n")
-        for row in points:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for start in range(0, points.shape[0], CSV_BLOCK_ROWS):
+            block = points[start : start + CSV_BLOCK_ROWS]
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def load_points(path) -> np.ndarray:
-    """Read a point set written by save_points (comments and header skipped)."""
+    """Read a point set written by save_points (comments and header skipped).
+
+    Every row must hold as many numbers as the ``x0,...`` header names (the
+    first row's count when there is no header); otherwise one ValueError
+    names the file and the line.
+    """
     rows = []
+    width = None
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if not line or line.startswith("#") or line.startswith("x0"):
+            if not line or line.startswith("#"):
                 continue
-            rows.append([float(v) for v in line.split(",")])
+            fields = line.split(",")
+            if line.startswith("x0"):
+                width = len(fields)
+                continue
+            try:
+                rows.append([float(v) for v in fields])
+            except ValueError:
+                raise ValueError(f"{path}, line {lineno}: a field is not a number") from None
+            width = len(fields) if width is None else width
+            if len(fields) != width:
+                raise ValueError(f"{path}, line {lineno}: {len(fields)} fields, expected {width}")
     return np.asarray(rows, dtype=np.float64)

@@ -157,12 +157,13 @@ def _net_input(net: Net, t, X) -> np.ndarray:
 
 def residual_loss(net: Net, inp: np.ndarray, target: np.ndarray, name: str):
     """Mean over rows of ||net(inp) - target||^2 and its exact parameter gradient."""
-    resid = nets.forward_batch(net, inp) - target
+    out, cache = nets.forward_batch(net, inp, want_cache=True)
+    resid = out - target
     m = inp.shape[0]
     loss = float(np.sum(resid * resid)) / m
     if not np.isfinite(loss):
         raise RuntimeError(f"non-finite {name} loss")
-    grad, _ = nets.grad_batch(net, inp, (2.0 / m) * resid)
+    grad, _ = nets.grad_batch(net, inp, (2.0 / m) * resid, cache=cache)
     return loss, grad
 
 

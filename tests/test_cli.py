@@ -149,3 +149,27 @@ def test_truncated_student_checkpoint_fails_with_one_line(workspace, capsys):
     assert _run(cfg, out, "sample") == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and path in lines[0]
+
+
+def test_cut_samples_file_fails_with_one_line(workspace, capsys):
+    cfg, out = workspace
+    for command in ("gen-data", "train-velocity", "train-cg", "sample"):
+        assert _run(cfg, out, command) == 0
+    path = os.path.join(out, "samples.csv")
+    text = open(path).read()
+    with open(path, "w") as fh:
+        fh.write(text[: text.rindex(",")])   # cut the last row inside its first field
+    capsys.readouterr()
+    assert _run(cfg, out, "eval") == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and path in lines[0]
+
+
+@pytest.mark.parametrize("line, key", [("batch_size = 64", "velocity.batch_size"),
+                                       ("n = 256", "target.n")])
+def test_zero_size_config_fails_with_one_line(tmp_path, capsys, line, key):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(TINY_PIPELINE.replace(line, line.split("=")[0] + "= 0"))
+    assert _run(str(cfg), str(tmp_path / "out"), "gen-data") == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and key in lines[0]

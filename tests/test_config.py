@@ -94,3 +94,24 @@ sigma = 0.25
         a = parse_config_text(MINIMAL_SWISS)
         b = parse_config_text(MINIMAL_SWISS + "\n[run]\nseed = 1\n")
         assert config_hash(a) != config_hash(b)
+
+
+class TestBounds:
+    @pytest.mark.parametrize("section, key", [
+        ("target", "n"), ("target", "holdout"), ("velocity", "batch_size"),
+        ("velocity", "fourier_k"), ("cg", "m"), ("cg", "steps"), ("cg", "batch_size"),
+        ("cg", "pairs_per_particle"), ("cg", "triples_per_particle"), ("cg", "teacher_steps"),
+        ("cg", "fourier_k"), ("sample", "n"), ("sample", "steps"), ("eval", "projections"),
+    ])
+    def test_sizes_and_counts_below_one_rejected_by_name(self, section, key):
+        with pytest.raises(ValueError, match=rf"{section}\.{key} must be >= 1"):
+            parse_config_text(f"[{section}]\n{key} = 0\n")
+
+    @pytest.mark.parametrize("section", ["velocity", "cg"])
+    def test_iterations_may_be_zero_but_not_negative(self, section):
+        assert parse_config_text(f"[{section}]\niterations = 0\n")[section]["iterations"] == 0
+        with pytest.raises(ValueError, match=rf"{section}\.iterations must be >= 0"):
+            parse_config_text(f"[{section}]\niterations = -1\n")
+
+    def test_seed_is_not_bounded(self):
+        assert parse_config_text("[run]\nseed = -3\n").seed == -3

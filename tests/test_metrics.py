@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charflow import metrics
 from charflow.metrics import (MetricReport, load_reports, order_fit, save_reports, sliced_w2,
                               w2_exact, w2_gaussian)
 from charflow.rng import Rng
@@ -150,3 +151,14 @@ def test_report_round_trip(tmp_path):
     assert again[1].aux == reports[1].aux
     with pytest.raises(ValueError):
         MetricReport(name="bad", value=float("nan"))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 16])
+def test_blocked_cost_equals_the_one_shot_formula(monkeypatch, d):
+    n = 203   # not a multiple of the 16-row blocks
+    A, B = Rng(8).normal((n, d)), 2.0 * Rng(9).normal((n, d))
+    one_shot = np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=2)
+    monkeypatch.setattr(metrics, "COST_BLOCK_BYTES", 16 * 8 * n * d)
+    assert metrics._sq_cost(A, B).tobytes() == one_shot.tobytes()
+    monkeypatch.undo()
+    assert metrics._sq_cost(A, B).tobytes() == one_shot.tobytes()

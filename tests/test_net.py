@@ -265,3 +265,68 @@ def test_damaged_frame_error_names_the_file(tmp_path, kind, damage):
     found = (len(damaged) - body_start) / 8
     assert ("unreadable" if damage == "json-cut" else
             f"promises {floats} float64 values, found {found:.10g}") in str(info.value)
+
+
+def _two_exp_act(z, kind):
+    # the activation pair forward_batch / grad_batch used before the sigmoid cache
+    if kind == "relu":
+        return np.maximum(z, 0.0)
+    sig = 1.0 / (1.0 + np.exp(-z))
+    return z * sig
+
+
+def _two_exp_act_grad(z, kind):
+    if kind == "relu":
+        return (z > 0.0).astype(np.float64)
+    sig = 1.0 / (1.0 + np.exp(-z))
+    return sig * (1.0 + z * (1.0 - sig))
+
+
+def _reference_forward(net, X):
+    layers = nets._unpack(net)
+    pre, post = [], [X]
+    for w, b in layers[:-1]:
+        pre.append(post[-1] @ w.T + b)
+        post.append(_two_exp_act(pre[-1], net.spec.activation))
+    w, b = layers[-1]
+    return post[-1] @ w.T + b, pre, post
+
+
+def _reference_grad(net, X, upstream):
+    _, pre, post = _reference_forward(net, X)
+    layers = nets._unpack(net)
+    grads = [None] * len(layers)
+    delta = upstream
+    for i in range(len(layers) - 1, -1, -1):
+        grads[i] = np.concatenate([(delta.T @ post[i]).ravel(), delta.sum(axis=0)])
+        delta = delta @ layers[i][0]
+        if i > 0:
+            delta = delta * _two_exp_act_grad(pre[i - 1], net.spec.activation)
+    return np.concatenate(grads), delta
+
+
+@pytest.mark.parametrize("activation", ["relu", "silu"])
+@pytest.mark.parametrize("hidden", [(), (7,), (16, 16), (32, 8, 24)])
+def test_forward_and_grad_bitwise_equal_the_two_exp_reference(activation, hidden):
+    spec = NetSpec(3, hidden, 2, activation=activation)
+    net = net_init(spec, 4)
+    net.params += 0.3 * Rng(5).normal((spec.param_count,))   # nonzero biases
+    X = 3.0 * Rng(6).normal((37, 3))
+    upstream = Rng(7).normal((37, 2))
+    ref_out, _, _ = _reference_forward(net, X)
+    ref_pg, ref_ig = _reference_grad(net, X, upstream)
+    out, cache = forward_batch(net, X, want_cache=True)
+    assert forward_batch(net, X).tobytes() == ref_out.tobytes()
+    assert out.tobytes() == ref_out.tobytes()
+    for passed in (None, cache):
+        pg, ig = grad_batch(net, X, upstream, cache=passed)
+        assert pg.tobytes() == ref_pg.tobytes()
+        assert ig.tobytes() == ref_ig.tobytes()
+
+
+def test_forward_leaves_its_input_untouched():
+    spec = NetSpec(2, (4, 4), 2, activation="silu")
+    X = Rng(1).normal((5, 2))
+    before = X.copy()
+    forward_batch(net_init(spec, 0), X)
+    assert np.array_equal(X, before)

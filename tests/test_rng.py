@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from charflow.rng import Rng
+from charflow.rng import Rng, stream_normals
 
 
 def test_same_seed_same_stream():
@@ -43,3 +43,18 @@ def test_bad_args():
         Rng(-1)
     with pytest.raises(ValueError):
         Rng(0).integers(0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 16, 17])
+def test_stream_normals_equal_the_per_stream_loop(dim):
+    # the batched draw against the loop it replaced in push_samples
+    m = 300
+    loop = np.stack([Rng(41, stream=i).normal((dim,)) for i in range(m)])
+    batched = stream_normals(41, m, dim)
+    assert batched.shape == (m, dim)
+    assert batched.tobytes() == loop.tobytes()
+
+
+def test_stream_normals_bad_seed():
+    with pytest.raises(ValueError):
+        stream_normals(-1, 4, 2)

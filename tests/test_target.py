@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from charflow.rng import Rng
+from charflow import target
 from charflow.target import (TargetSpec, atomic_mixture, embed_target, load_points,
                              sample_target, save_points, swiss_roll)
 
@@ -117,3 +118,42 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(pts, again)
     first = path.read_text().splitlines()[0]
     assert first.startswith("# charflow")
+
+
+def _per_element_writer(path, points, provenance):
+    # the writer save_points replaced: one repr call per coordinate
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# {provenance}\n")
+        fh.write(",".join(f"x{i}" for i in range(points.shape[1])) + "\n")
+        for row in points:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+@pytest.mark.parametrize("points", [
+    Rng(2).normal((2 * target.CSV_BLOCK_ROWS + 3, 2)),
+    Rng(3).normal((target.CSV_BLOCK_ROWS, 1)),
+    1e-300 * Rng(4).normal((5, 16)),
+    np.array([[0.0, -0.0], [np.inf, -np.inf], [np.nan, 1e308], [5e-324, -1.5]]),
+    Rng(5).normal((6, 6))[:, ::2],
+    np.array([0.25, -3.0]),
+    np.zeros((0, 3)),
+])
+def test_block_writer_writes_the_per_element_bytes(tmp_path, points):
+    save_points(tmp_path / "block.csv", points, provenance="p")
+    _per_element_writer(tmp_path / "ref.csv", points, provenance="p")
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("body, line", [
+    ("0.5,1.5\n0.2", 4),              # cut mid-row: one field short
+    ("0.5,1.5,2.5\n", 3),             # one field too many
+    ("0.5,1.5\n0.25,abc\n", 4),       # a field that is not a number
+    ("0.5,\n", 3),                    # an empty field
+])
+def test_damaged_point_file_names_path_and_line(tmp_path, body, line):
+    path = tmp_path / "points.csv"
+    path.write_text("# charflow\nx0,x1\n" + body)
+    with pytest.raises(ValueError) as err:
+        load_points(path)
+    assert str(path) in str(err.value) and f"line {line}" in str(err.value)

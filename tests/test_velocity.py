@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from charflow import net as nets
 from charflow.net import Net, NetSpec, net_init
 from charflow.oracle import OracleContext, denoiser_exact, velocity_exact
 from charflow.rng import Rng
@@ -8,7 +9,8 @@ from charflow.schedule import Schedule, denoiser_coeffs
 from charflow.target import atomic_mixture, sample_target
 from charflow.velocity import (InterpolantBatch, TrainConfig, TrainingDiverged, clip_gradient,
                                denoiser_loss, draw_batch, estimate_sigma_data, make_denoiser,
-                               make_velocity, train, velocity_from_denoiser, velocity_loss)
+                               make_velocity, residual_loss, train, velocity_from_denoiser,
+                               velocity_loss)
 
 LINEAR = Schedule("linear")
 FOLLMER = Schedule("follmer")
@@ -265,3 +267,19 @@ class TestEquivalenceAndMonotonicity:
         med_d = np.median(data_err["denoiser"])
         assert med_d <= 2.0 * med_v
         assert med_v <= 2.0 * med_d
+
+
+@pytest.mark.parametrize("activation", ["relu", "silu"])
+def test_residual_loss_runs_one_forward_with_the_two_forward_bits(monkeypatch, activation):
+    spec = NetSpec(3, (16, 16), 2, activation=activation)
+    net = net_init(spec, 2)
+    inp, target = Rng(3).normal((64, 3)), Rng(4).normal((64, 2))
+    resid = nets.forward_batch(net, inp) - target
+    ref_loss = float(np.sum(resid * resid)) / 64
+    ref_grad, _ = nets.grad_batch(net, inp, (2.0 / 64) * resid)   # re-runs the forward
+    calls = []
+    forward = nets.forward_batch
+    monkeypatch.setattr(nets, "forward_batch", lambda *a, **k: calls.append(1) or forward(*a, **k))
+    loss, grad = residual_loss(net, inp, target, "test")
+    assert len(calls) == 1
+    assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
