@@ -11,8 +11,16 @@ Commands (all take ``--config <path> [--out <dir>] [--seed <u64>]``):
 
 Artifacts land in the output directory under fixed names, so dependent
 commands find their inputs without extra flags; every artifact starts with
-a provenance line (tool version, seed, config hash).  Two runs with the
-same effective config produce bit-identical outputs.
+a provenance line (tool version, seed, config hash) and is written to a
+temporary file that replaces the old one only when complete.  Two runs with
+the same effective config produce bit-identical outputs.
+
+A bad run exits 2 with one ``error:`` line on stderr, never a traceback: a
+bad config, a missing or damaged input, a checkpoint whose output dimension
+differs from the config's target (refused before the command writes its
+outputs), a training run that diverges (the line names the command and the
+iteration; no checkpoint is written) and a sampler whose state turns
+non-finite (the line names the command and the step).
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ import numpy as np
 from . import __version__, cgen, net as nets, sampler, velocity
 from .config import (SEED_CG, SEED_DATA, SEED_EVAL, SEED_HOLDOUT, SEED_SAMPLE, SEED_TRAJ,
                      SEED_VELOCITY, RunConfig, config_hash, parse_config, serialize_config)
+from .fileio import atomic_open
 from .metrics import MetricReport, save_reports, sliced_w2, w2_exact, W2_EXACT_MAX_N
 from .net import NetSpec, load_net, save_net
 from .schedule import Schedule
@@ -40,7 +49,7 @@ def _provenance(cfg: RunConfig) -> str:
 
 
 def _echo_config(cfg: RunConfig, out: str):
-    with open(os.path.join(out, "config.echo.ini"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out, "config.echo.ini")) as fh:
         fh.write(f"# {_provenance(cfg)}\n")
         fh.write(serialize_config(cfg))
 
@@ -63,7 +72,7 @@ def _require(path: str, hint: str) -> str:
 
 
 def _save_losses(path, losses, provenance):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"# {provenance}\n")
         fh.write("iteration,loss\n")
         for i, loss in enumerate(losses):
@@ -118,8 +127,19 @@ def cmd_train_velocity(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-def _load_field(out: str):
-    net, extra = load_net(_require(os.path.join(out, "field.ckpt"), "train-velocity"))
+def _load_checked(cfg: RunConfig, out: str, name: str, hint: str):
+    """Load a checkpoint and refuse it if its output dimension is not the target's."""
+    path = _require(os.path.join(out, name), hint)
+    net, extra = load_net(path)
+    dim = _target_spec(cfg).dim
+    if net.spec.output_dim != dim:
+        raise ValueError(f"{path} maps to dimension {net.spec.output_dim}, but the config's "
+                         f"target has dimension {dim}; rerun `charflow {hint}`")
+    return net, extra
+
+
+def _load_field(cfg: RunConfig, out: str):
+    net, extra = _load_checked(cfg, out, "field.ckpt", "train-velocity")
     schedule = Schedule(extra["schedule"])
     if extra["role"] == "denoiser":
         denoiser = make_denoiser(net, schedule, extra["sigma_data"])
@@ -151,7 +171,7 @@ def cmd_train_cg(cfg: RunConfig, out: str) -> int:
         clip_grad_norm=cgc["clip_grad_norm"] or None,
     )
     if config.mode == "regression":
-        field, _, _, _, _ = _load_field(out)
+        field, _, _, _, _ = _load_field(cfg, out)
         grid = sampler.TimeGrid(stop_time=cgc["stop_time"], steps=cgc["steps"])
         corpus = sampler.push_samples("euler", field, cgc["m"], dim, grid,
                                       seed=cfg.seed + SEED_TRAJ)
@@ -159,7 +179,7 @@ def cmd_train_cg(cfg: RunConfig, out: str) -> int:
                                   cfg["schedule"]["kind"], prov)
         student, losses = cgen.train_cg(config, corpus=corpus)
     elif config.mode == "practical":
-        _, denoiser, _, extra, _ = _load_field(out)
+        _, denoiser, _, extra, _ = _load_field(cfg, out)
         if denoiser is None:
             raise ValueError("practical mode needs a denoiser teacher; train with velocity.loss=denoiser")
         student, losses = cgen.train_cg(config, data=data, teacher=denoiser)
@@ -179,8 +199,8 @@ def cmd_train_cg(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-def _load_student(out: str) -> cgen.StudentNet:
-    net, extra = load_net(_require(os.path.join(out, "student.ckpt"), "train-cg"))
+def _load_student(cfg: RunConfig, out: str) -> cgen.StudentNet:
+    net, extra = _load_checked(cfg, out, "student.ckpt", "train-cg")
     return cgen.StudentNet(net=net, schedule=Schedule(extra["schedule"]),
                            stop_time=extra["stop_time"], sigma_data=extra["sigma_data"],
                            plain=extra["plain"])
@@ -193,7 +213,7 @@ def cmd_sample(cfg: RunConfig, out: str) -> int:
     n = smp["n"]
     reports = []
     if smp["sampler"] in ("one-step", "multi-step"):
-        student = _load_student(out)
+        student = _load_student(cfg, out)
         student.eval_count = 0
         if smp["sampler"] == "one-step":
             points = cgen.one_step(student, n, student.stop_time, seed)
@@ -203,7 +223,7 @@ def cmd_sample(cfg: RunConfig, out: str) -> int:
             points = cgen.multi_step(student, nodes, n, seed)
         nfe = student.eval_count
     else:
-        field, denoiser, schedule, extra, field_net = _load_field(out)
+        field, denoiser, schedule, extra, field_net = _load_field(cfg, out)
         grid = sampler.TimeGrid(stop_time=extra["stop_time"], steps=smp["steps"])
         dim = field_net.spec.output_dim
         if smp["sampler"] == "euler":
@@ -254,7 +274,7 @@ def cmd_verify(cfg: RunConfig, out: str) -> int:
         lines.append(line)
         print(line)
     failures = [r for r in results if not r.ok]
-    with open(os.path.join(out, "verify_report.txt"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out, "verify_report.txt")) as fh:
         fh.write(f"# {_provenance(cfg)}\n")
         fh.write("\n".join(lines) + "\n")
     if failures:
@@ -292,6 +312,12 @@ def main(argv=None) -> int:
         return HANDLERS[args.command](cfg, args.out)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except velocity.TrainingDiverged as exc:
+        print(f"error: {args.command} diverged at {exc}", file=sys.stderr)
+        return 2
+    except sampler.NonFiniteState as exc:
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import atomic_open
 from .rng import Rng
 
 __all__ = [
@@ -328,7 +329,7 @@ def lipschitz_bound(net: Net, n_iter: int = 64, seed: int = 0) -> float:
 def write_frame(path, magic: bytes, provenance: str, header: dict, body: np.ndarray):
     """Binary frame: magic, provenance line, length-prefixed JSON header, <f8 body."""
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(magic)
         fh.write(f"# {provenance}\n".encode("utf-8"))
         fh.write(len(blob).to_bytes(8, "little"))

@@ -25,6 +25,7 @@ from .rng import stream_normals
 from .schedule import Schedule
 
 __all__ = [
+    "NonFiniteState",
     "TimeGrid",
     "TrajectoryBatch",
     "euler_flow",
@@ -35,6 +36,10 @@ __all__ = [
 ]
 
 TRAJECTORY_MAGIC = b"CHARFLOW-TRAJ-1\n"
+
+
+class NonFiniteState(RuntimeError):
+    """Raised when an integrated state turns NaN or infinite."""
 
 
 @dataclass(frozen=True)
@@ -92,11 +97,13 @@ def _integrate(step_fn, x0, grid: TimeGrid):
     nodes = grid.nodes
     out = np.empty((grid.steps + 1, X.shape[0], X.shape[1]))
     out[0] = X
-    for k in range(grid.steps):
-        X = step_fn(nodes[k], nodes[k + 1], X)
-        if not np.all(np.isfinite(X)):
-            raise RuntimeError(f"non-finite state at step {k + 1} (t = {nodes[k + 1]:.6f})")
-        out[k + 1] = X
+    # overflow warnings are silenced: a non-finite state raises NonFiniteState
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(grid.steps):
+            X = step_fn(nodes[k], nodes[k + 1], X)
+            if not np.all(np.isfinite(X)):
+                raise NonFiniteState(f"non-finite state at step {k + 1} (t = {nodes[k + 1]:.6f})")
+            out[k + 1] = X
     return out
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import atomic_open
 from .rng import Rng
 
 __all__ = [
@@ -170,7 +171,7 @@ def save_points(path, points: np.ndarray, provenance: str = "charflow"):
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     d = points.shape[1]
     row = ",".join(["%r"] * d) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"# {provenance}\n")
         fh.write(",".join(f"x{i}" for i in range(d)) + "\n")
         for start in range(0, points.shape[0], CSV_BLOCK_ROWS):

@@ -73,18 +73,21 @@ def fit(net: Net, step, iterations: int, seed: int, adam: AdamState,
     Iteration k takes ``(loss, grad) = step(Rng(seed, stream=1 + k))``, an
     Adam step on the clipped grad, then the optional EMA update.  A
     RuntimeError becomes TrainingDiverged carrying the losses so far.
+    Overflow warnings are silenced: the loss and gradient checks turn any
+    non-finite value that reaches them into that error.
     """
     adam.for_net(net)
     losses = []
-    for it in range(iterations):
-        try:
-            loss, grad = step(Rng(seed, stream=1 + it))
-            losses.append(loss)
-            nets.adam_step(adam, net, clip_gradient(grad, clip_grad_norm))
-            if ema is not None:
-                nets.ema_update(ema, net, ema_rate)
-        except RuntimeError as exc:
-            raise TrainingDiverged(f"iteration {it}: {exc}", losses) from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(iterations):
+            try:
+                loss, grad = step(Rng(seed, stream=1 + it))
+                losses.append(loss)
+                nets.adam_step(adam, net, clip_gradient(grad, clip_grad_norm))
+                if ema is not None:
+                    nets.ema_update(ema, net, ema_rate)
+            except RuntimeError as exc:
+                raise TrainingDiverged(f"iteration {it}: {exc}", losses) from exc
     return losses
 
 

@@ -1,12 +1,16 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from charflow.cli import main
 from charflow.metrics import load_reports
-from charflow.net import NetSpec, net_init, save_net
+from charflow.net import Net, NetSpec, load_net, net_init, save_net
 from charflow.target import load_points
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 TINY_PIPELINE = """
 [target]
@@ -173,3 +177,60 @@ def test_zero_size_config_fails_with_one_line(tmp_path, capsys, line, key):
     assert _run(str(cfg), str(tmp_path / "out"), "gen-data") == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and key in lines[0]
+
+
+
+def test_diverged_training_fails_with_one_line(tmp_path):
+    # a subprocess, so that every stderr line counts, numpy warnings included
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(TINY_PIPELINE.replace("iterations = 80", "iterations = 50\nlr = 1e200"))
+    out = str(tmp_path / "out")
+    assert _run(str(cfg), out, "gen-data") == 0
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "charflow.cli", "train-velocity",
+                           "--config", str(cfg), "--out", out],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: train-velocity diverged at iteration ")
+    assert sorted(os.listdir(out)) == ["config.echo.ini", "data.csv", "holdout.csv"]
+
+
+def test_non_finite_sampler_state_fails_with_one_line(workspace, tmp_path, capsys):
+    cfg, out = workspace
+    for command in ("gen-data", "train-velocity"):
+        assert _run(cfg, out, command) == 0
+    path = os.path.join(out, "field.ckpt")
+    net, extra = load_net(path)
+    save_net(path, Net(net.spec, 1e150 * net.params), extra)
+    euler = tmp_path / "euler.ini"
+    euler.write_text(TINY_PIPELINE.replace("[sample]\n", "[sample]\nsampler = euler\nsteps = 12\n"))
+    capsys.readouterr()
+    assert _run(str(euler), out, "sample") == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: sample: non-finite state at step "), lines
+    assert not os.path.exists(os.path.join(out, "samples.csv"))
+
+
+@pytest.mark.parametrize("command, sampler, ckpt", [("sample", "one-step", "student.ckpt"),
+                                                    ("sample", "euler", "field.ckpt"),
+                                                    ("train-cg", "one-step", "field.ckpt")])
+def test_checkpoint_of_another_dimension_is_refused(workspace, tmp_path, capsys,
+                                                     command, sampler, ckpt):
+    cfg, out = workspace
+    for step in ("gen-data", "train-velocity", "train-cg"):
+        assert _run(cfg, out, step) == 0
+    one_d = tmp_path / "one_d.ini"
+    one_d.write_text(TINY_PIPELINE
+                     .replace("variant = swiss-roll", "variant = atomic\natoms = -1;1\nsigma = 0.25")
+                     .replace("[sample]\n", f"[sample]\nsampler = {sampler}\nsteps = 4\n"))
+    assert _run(str(one_d), out, "gen-data") == 0
+    before = {name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)}
+    capsys.readouterr()
+    assert _run(str(one_d), out, command) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and os.path.join(out, ckpt) in lines[0], lines
+    assert "dimension 2" in lines[0] and "dimension 1" in lines[0]
+    after = {name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)}
+    assert after == before

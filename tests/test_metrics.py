@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from charflow import metrics
 from charflow.metrics import (MetricReport, load_reports, order_fit, save_reports, sliced_w2,
@@ -68,6 +69,65 @@ class TestW2Exact:
                 gaps.append(abs(w2_exact(A, B) - true))
             med_gap.append(np.median(gaps))
         assert med_gap[0] > med_gap[1] > med_gap[2]
+
+
+def _assignment_w2(A, B):
+    """The assignment path that every dimension took before the sorted 1-D matching."""
+    cost = metrics._sq_cost(A, B)
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.sqrt(cost[rows, cols].mean()))
+
+
+def _padded(A):
+    return np.hstack([A, np.zeros_like(A)])
+
+
+class TestW2ExactOneDimensional:
+    @given(st.lists(st.integers(-2**20, 2**20), min_size=2, max_size=400, unique=True))
+    @settings(max_examples=40, deadline=None)
+    def test_sorted_matching_is_bitwise_the_assignment(self, values):
+        # distinct dyadic values; the zero column sends the padded call through the assignment
+        n = len(values) // 2
+        pts = np.asarray(values[: 2 * n], dtype=np.float64)[:, None] / 1024.0
+        A, B = pts[:n], pts[n:]
+        value = w2_exact(A, B)
+        assert value == w2_exact(_padded(A), _padded(B))
+        assert value == _assignment_w2(A, B)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 203, 512])
+    def test_gaussian_two_mode_draws_bitwise(self, n):
+        rng = Rng(n)
+        A = np.where(rng.uniform(n)[:, None] < 0.5, -1.0, 1.0) + 0.25 * rng.normal((n, 1))
+        B = 1.3 * rng.normal((n, 1))
+        value = w2_exact(A, B)
+        assert value == w2_exact(_padded(A), _padded(B))
+        assert value == _assignment_w2(A, B)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ties_and_duplicates_match_the_assignment(self, seed):
+        # two optimal matchings may sum their costs in a different order
+        rng = Rng(seed)
+        A = np.round(rng.normal((300, 1)), 1)
+        B = np.repeat(np.round(rng.normal((100, 1)), 0), 3, axis=0)
+        assert w2_exact(A, B) == pytest.approx(_assignment_w2(A, B), rel=1e-12)
+        assert w2_exact(A, A[::-1]) == 0.0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, d, bad):
+        A = Rng(1).normal((8, d))
+        B = Rng(2).normal((8, d))
+        A_bad = A.copy()
+        A_bad[3, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            w2_exact(A_bad, B)
+        with pytest.raises(ValueError, match="finite"):
+            w2_exact(B, A_bad)
+
+    def test_cap_holds_on_the_line(self):
+        A = Rng(3).normal((4097, 1))
+        with pytest.raises(ValueError, match="capped"):
+            w2_exact(A, A)
 
 
 class TestW2Gaussian:
