@@ -24,9 +24,9 @@ ctx = OracleContext(spec, sch)
 
 print("== pointwise oracle values on the two-atom mixture (sigma = 0.25)")
 for t, x in ((0.3, 0.5), (0.7, -0.4), (0.9, 0.1)):
-    xv = np.array([x])
-    print(f"  t={t:.1f} x={x:+.1f}:  D*={denoiser_exact(ctx, t, xv)[0]:+.4f}  "
-          f"b*={velocity_exact(ctx, t, xv)[0]:+.4f}  s*={score_exact(ctx, t, xv)[0]:+.4f}")
+    xv = np.array([[x]])
+    print(f"  t={t:.1f} x={x:+.1f}:  D*={denoiser_exact(ctx, t, xv)[0, 0]:+.4f}  "
+          f"b*={velocity_exact(ctx, t, xv)[0, 0]:+.4f}  s*={score_exact(ctx, t, xv)[0, 0]:+.4f}")
 
 print("\n== cross identities (velocity from denoiser / from score)")
 rng = Rng(0)
@@ -40,12 +40,13 @@ print(f"  max |b* - (denoiser route)| = {np.max(np.abs(b_star - via_d)):.2e}")
 print(f"  max |b* - (score route)|    = {np.max(np.abs(b_star - via_s)):.2e}")
 
 print("\n== reference flow map (RK4 with step halving)")
-x0 = np.array([1.5])
+x0 = np.array([[1.5]])
 mid = flow_exact(ctx, 0.0, 0.5, x0, tol=1e-11)
 end_direct = flow_exact(ctx, 0.0, 0.95, x0, tol=1e-11)
 end_hopped = flow_exact(ctx, 0.5, 0.95, mid, tol=1e-11)
-print(f"  g*(0, 0.95, 1.5) = {end_direct[0]:.8f}")
-print(f"  semigroup gap |g*(0,.95) - g*(.5,.95) o g*(0,.5)| = {abs(end_direct[0] - end_hopped[0]):.1e}")
+print(f"  g*(0, 0.95, 1.5) = {end_direct[0, 0]:.8f}")
+print(f"  semigroup gap |g*(0,.95) - g*(.5,.95) o g*(0,.5)| = "
+      f"{abs(end_direct[0, 0] - end_hopped[0, 0]):.1e}")
 
 print("\n== manifold decomposition (1-D mixture embedded in R^3)")
 frame = np.linalg.qr(Rng(7).normal((3, 1)))[0]
@@ -56,4 +57,4 @@ tang, norm, gam = manifold_decompose(emb_ctx, t, x3)
 gap = np.max(np.abs(tang + norm - velocity_exact(emb_ctx, t, x3)))
 print(f"  tangential + normal reproduces the velocity to {gap:.2e}")
 print(f"  normal part is the simple linear contraction gamma(t) (I - PP^T) x; gamma(0.5) = "
-      f"{manifold_decompose(emb_ctx, 0.5, np.ones(3))[2]:+.4f}")
+      f"{manifold_decompose(emb_ctx, 0.5, np.ones((1, 3)))[2][0]:+.4f}")

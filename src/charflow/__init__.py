@@ -9,10 +9,11 @@ Gaussian-smoothed atomic targets.
 __version__ = "0.1.0"
 
 from .schedule import Schedule, denoiser_coeffs, validate_schedule
-from .target import TargetSpec, atomic_mixture, embed_target, embedded_mixture, sample_target, swiss_roll
+from .target import (TargetSpec, as_points, atomic_mixture, embed_target, embedded_mixture,
+                     sample_target, swiss_roll)
 from .oracle import (OracleContext, denoiser_exact, flow_exact, gamma_coefficient,
                      manifold_decompose, score_exact, velocity_exact)
-from .net import AdamState, Net, NetSpec, adam_step, ema_update, net_forward, net_grad, net_init
+from .net import AdamState, Net, NetSpec, adam_step, ema_update, net_init
 from .velocity import (InterpolantBatch, TrainConfig, draw_batch, denoiser_loss, train,
                        velocity_from_denoiser, velocity_loss)
 from .sampler import TimeGrid, TrajectoryBatch, ei_flow, euler_flow, push_samples

@@ -47,6 +47,7 @@ from .net import AdamState, Net, NetSpec
 from .rng import Rng
 from .sampler import TrajectoryBatch
 from .schedule import Schedule, denoiser_coeffs
+from .target import as_points
 from .velocity import (InterpolantBatch, denoiser_target, draw_batch, estimate_sigma_data, fit,
                        residual_loss)
 
@@ -102,8 +103,7 @@ class StudentNet:
 
 
 def _rows(t, s, x, stop_time):
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    squeeze = np.asarray(x).ndim == 1
+    X = as_points(x, "x")
     m = X.shape[0]
     t = np.broadcast_to(np.asarray(t, dtype=np.float64), (m,))
     s = np.broadcast_to(np.asarray(s, dtype=np.float64), (m,))
@@ -111,7 +111,7 @@ def _rows(t, s, x, stop_time):
         raise ValueError("g requires t <= s")
     if np.any(t < 0.0) or np.any(s > stop_time + 1e-12):
         raise ValueError("times must lie in [0, stop_time]")
-    return t, s, X, squeeze
+    return t, s, X
 
 
 def _student_input(student: StudentNet, t, s, X):
@@ -129,25 +129,22 @@ def student_denoiser(student: StudentNet, t, s, x) -> np.ndarray:
     """D_S(t, s, x) = c_skip(t) x + c_out(t) F(t, s, c_in(t) x)."""
     if student.plain:
         raise ValueError("plain students parameterize g directly and carry no denoiser")
-    t, s, X, squeeze = _rows(t, s, x, student.stop_time)
+    t, s, X = _rows(t, s, x, student.stop_time)
     inp, (c_in, c_skip, c_out) = _student_input(student, t, s, X)
-    out = c_skip[:, None] * X + c_out[:, None] * nets.forward_batch(student.net, inp)
-    return out[0] if squeeze else out
+    return c_skip[:, None] * X + c_out[:, None] * nets.forward_batch(student.net, inp)
 
 
 def g_apply(student: StudentNet, t, s, x) -> np.ndarray:
-    """Evaluate the two-time flow map g(t, s, x) on one point or a batch."""
-    t, s, X, squeeze = _rows(t, s, x, student.stop_time)
+    """Evaluate the two-time flow map g(t, s, x) on a batch x (m, d)."""
+    t, s, X = _rows(t, s, x, student.stop_time)
     inp, coeffs = _student_input(student, t, s, X)
     student.eval_count += 1
     if student.plain:
-        out = nets.forward_batch(student.net, inp)
-    else:
-        c_in, c_skip, c_out = coeffs
-        phi, psi = student.schedule.ei_coeffs(t, s)
-        d_s = c_skip[:, None] * X + c_out[:, None] * nets.forward_batch(student.net, inp)
-        out = phi[:, None] * X + psi[:, None] * d_s
-    return out[0] if squeeze else out
+        return nets.forward_batch(student.net, inp)
+    c_in, c_skip, c_out = coeffs
+    phi, psi = student.schedule.ei_coeffs(t, s)
+    d_s = c_skip[:, None] * X + c_out[:, None] * nets.forward_batch(student.net, inp)
+    return phi[:, None] * X + psi[:, None] * d_s
 
 
 class _GParts:
@@ -185,7 +182,7 @@ def _eval_g(g, t, s, X):
     """Evaluate either a StudentNet or a plain callable g(t, s, X)."""
     if isinstance(g, StudentNet):
         return g_apply(g, t, s, X)
-    return np.atleast_2d(np.asarray(g(t, s, X), dtype=np.float64))
+    return as_points(g(t, s, X), "g output")
 
 
 def sample_index_pairs(rng: Rng, count: int, steps: int) -> np.ndarray:
@@ -293,7 +290,7 @@ def make_teacher_flow(denoiser, schedule: Schedule, steps: int):
         raise ValueError("steps must be >= 1")
 
     def flow(t, u, X):
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = as_points(X, "X")
         m = X.shape[0]
         t = np.broadcast_to(np.asarray(t, dtype=np.float64), (m,))
         u = np.broadcast_to(np.asarray(u, dtype=np.float64), (m,))
@@ -304,7 +301,7 @@ def make_teacher_flow(denoiser, schedule: Schedule, steps: int):
             tj = t + (u - t) * (j / steps)
             tj1 = t + (u - t) * ((j + 1) / steps)
             phi, psi = schedule.ei_coeffs(tj, tj1)
-            Y = phi[:, None] * Y + psi[:, None] * np.atleast_2d(denoiser(tj, Y))
+            Y = phi[:, None] * Y + psi[:, None] * as_points(denoiser(tj, Y), "denoiser output")
         return Y
 
     return flow
@@ -316,10 +313,9 @@ def self_distill_reference(student, t, s, x) -> np.ndarray:
     ``student`` may be a StudentNet or any flow callable g(t, s, X).
     """
     stop = student.stop_time if isinstance(student, StudentNet) else 1.0
-    t_arr, s_arr, X, squeeze = _rows(t, s, x, stop)
+    t_arr, s_arr, X = _rows(t, s, x, stop)
     u = 0.5 * (t_arr + s_arr)
-    out = _eval_g(student, u, s_arr, _eval_g(student, t_arr, u, X))
-    return out[0] if squeeze else out
+    return _eval_g(student, u, s_arr, _eval_g(student, t_arr, u, X))
 
 
 def global_loss(student, offline, teacher_flow, batch: InterpolantBatch, u, s,
@@ -350,7 +346,7 @@ def global_loss(student, offline, teacher_flow, batch: InterpolantBatch, u, s,
     if np.any(u < t) or np.any(s < u) or np.any(s > T + 1e-12):
         raise ValueError("global_loss requires t <= u <= s <= T")
     t_end = np.full(m, T)
-    y = np.atleast_2d(np.asarray(teacher_flow(t, u, batch.xt), dtype=np.float64))
+    y = as_points(teacher_flow(t, u, batch.xt), "teacher flow output")
     w2 = _eval_g(offline, s, t_end, _eval_g(offline, t, s, batch.xt))
     if not (isinstance(student, StudentNet) and isinstance(offline, StudentNet)):
         resid = _eval_g(offline, s, t_end, _eval_g(student, u, s, y)) - w2
@@ -429,7 +425,7 @@ def train_cg(config: CgTrainConfig, corpus=None, data=None, teacher=None):
         raise ValueError("practical mode requires a teacher denoiser")
     if config.mode == "self-distill" and teacher is not None:
         raise ValueError("self-distill mode takes no teacher")
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    data = as_points(data, "data")
     sigma_data = config.sigma_data if config.sigma_data is not None else estimate_sigma_data(data)
     return _train_practical(config, data, teacher, sigma_data)
 

@@ -16,7 +16,8 @@ temporary file that replaces the old one only when complete.  Two runs with
 the same effective config produce bit-identical outputs.
 
 A bad run exits 2 with one ``error:`` line on stderr, never a traceback: a
-bad config, a missing or damaged input, a checkpoint whose output dimension
+bad config (a float key out of its range included), a missing or damaged
+input (a point file with no rows included), a checkpoint whose output dimension
 differs from the config's target (refused before the command writes its
 outputs), a training run that diverges (the line names the command and the
 iteration; no checkpoint is written) and a sampler whose state turns

@@ -5,7 +5,8 @@ lines, ``#`` comments).  Every key has a declared type and default; unknown
 sections or keys are rejected by name, and parse -> serialize -> parse is
 the identity on effective configurations (serialization writes every key).
 Integer sizes and counts must be at least 1 and iteration counts at least
-0; ``[run] seed`` is not bounded here.
+0; ``[run] seed`` is not bounded here.  Float keys with a range are checked
+against ``FLOAT_BOUNDS``, which no NaN passes.
 
 Point lists (mixture atoms, frame rows) are written as ';'-separated points
 with ','-separated coordinates, e.g. ``atoms = -1;1`` (1-D) or
@@ -144,6 +145,15 @@ SCHEMA = {
     },
 }
 
+# (keys, test, wording): a value failing its test (NaN fails all) is an error naming section.key
+FLOAT_BOUNDS = [
+    (("velocity.lr", "cg.lr"), lambda v: 0.0 < v < np.inf, "must be finite and > 0"),
+    (("velocity.eps", "target.sigma"), lambda v: v > 0.0, "must be > 0"),
+    (("velocity.beta1", "velocity.beta2", "cg.ema_rate"), lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+    (("velocity.clip_grad_norm", "cg.clip_grad_norm", "cg.lambda_local", "cg.lambda_semigroup",
+      "target.swiss_noise"), lambda v: v >= 0.0, "must be >= 0"),
+]
+
 _PARSERS = {
     "int": int,
     "float": float,
@@ -210,6 +220,11 @@ def _validate(cfg: RunConfig):
             low = 0 if key == "iterations" else 1  # every other int key is a size or a count
             if cfg[name][key] < low:
                 raise ValueError(f"{name}.{key} must be >= {low}, got {cfg[name][key]}")
+    for keys, test, wording in FLOAT_BOUNDS:
+        for dotted in keys:
+            name, key = dotted.split(".")
+            if not test(cfg[name][key]):
+                raise ValueError(f"{dotted} {wording}, got {cfg[name][key]!r}")
     tgt = cfg["target"]
     if tgt["variant"] in ("atomic", "embedded") and tgt["atoms"] is None:
         raise ValueError("mixture targets require target.atoms")

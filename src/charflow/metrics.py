@@ -22,6 +22,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .fileio import atomic_open
 from .rng import Rng
+from .target import as_points
 
 __all__ = [
     "MetricReport",
@@ -57,10 +58,11 @@ def w2_exact(A: np.ndarray, B: np.ndarray) -> float:
     sqrt(min over matchings of mean ||a_i - b_pi(i)||^2), n <= 4096.  One
     column: the stable sorted orders give the matching; d >= 2: the
     assignment on the squared-distance cost.  Either way the matched costs
-    are averaged in A's row order.  Non-finite points raise ValueError.
+    are averaged in A's row order.  Non-(n, d) or non-finite input raises
+    ValueError.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    B = np.atleast_2d(np.asarray(B, dtype=np.float64))
+    A = as_points(A, "A")
+    B = as_points(B, "B")
     if A.shape != B.shape:
         raise ValueError(f"point sets must have equal shape, got {A.shape} vs {B.shape}")
     n = A.shape[0]
@@ -116,8 +118,8 @@ def sliced_w2(A: np.ndarray, B: np.ndarray, projections: int = 128, seed: int = 
     factor is 1 and a single projection reproduces w2_exact.  Unequal sizes
     are compared on a common quantile grid.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    B = np.atleast_2d(np.asarray(B, dtype=np.float64))
+    A = as_points(A, "A")
+    B = as_points(B, "B")
     if A.shape[0] == 0 or B.shape[0] == 0:
         raise ValueError("point sets must be nonempty")
     if A.shape[1] != B.shape[1]:

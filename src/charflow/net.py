@@ -16,7 +16,7 @@ bias and applies the activation in place.  Both paths give the same bits as
 Time conditioning is the caller's job: ``time_features`` embeds scalar times
 either raw or as Fourier pairs [sin(2*pi*k*t), cos(2*pi*k*t)], k = 1..K, and
 the velocity / generator modules concatenate those features with the state
-before calling ``forward``.
+before calling ``forward_batch``.  Inputs are row batches (m, input_dim).
 
 Checkpoints and trajectory files share one binary frame (``write_frame`` /
 ``read_frame``): magic, provenance line, length-prefixed JSON header (here
@@ -42,9 +42,7 @@ __all__ = [
     "time_features",
     "time_feature_dim",
     "net_init",
-    "net_forward",
     "forward_batch",
-    "net_grad",
     "grad_batch",
     "adam_step",
     "ema_update",
@@ -206,14 +204,6 @@ def forward_batch(net: Net, X: np.ndarray, want_cache: bool = False):
     return out
 
 
-def net_forward(net: Net, x: np.ndarray) -> np.ndarray:
-    """Forward pass on one input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("net_forward expects a single input vector")
-    return forward_batch(net, x[None, :])[0]
-
-
 def grad_batch(net: Net, X: np.ndarray, upstream: np.ndarray, cache=None):
     """Reverse-mode gradients of sum_i <upstream_i, f(X_i)>.
 
@@ -243,16 +233,6 @@ def grad_batch(net: Net, X: np.ndarray, upstream: np.ndarray, cache=None):
             delta = delta * _act_grad(pre[i - 1], sigs[i - 1])
     param_grad = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
     return param_grad, delta
-
-
-def net_grad(net: Net, x: np.ndarray, upstream: np.ndarray):
-    """Gradients of <upstream, f(x)> w.r.t. params and the input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (net.spec.output_dim,):
-        raise ValueError("upstream length must equal output_dim")
-    pg, ig = grad_batch(net, x[None, :], upstream[None, :])
-    return pg, ig[0]
 
 
 @dataclass

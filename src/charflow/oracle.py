@@ -22,8 +22,8 @@ The reference flow map integrates the exact velocity with classical RK4 and
 Richardson step halving; it is the ground truth against which every learned
 or discretized flow is measured.
 
-All evaluators accept a single point ``x`` of shape (d,) or a batch (m, d),
-and a scalar time or a per-row time array of shape (m,).
+All evaluators take a batch ``x`` of shape (m, d) (any other shape raises
+ValueError) and a scalar time or a per-row time array of shape (m,).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import Schedule
-from .target import TargetSpec, atomic_mixture
+from .target import TargetSpec, as_points, atomic_mixture
 
 __all__ = [
     "OracleContext",
@@ -59,13 +59,6 @@ class OracleContext:
             raise ValueError("oracles require a mixture target")
 
 
-def _as_batch(x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
-
-
 def _times(t, m, allow_zero=True, allow_one=False):
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0.0) or np.any(t > 1.0):
@@ -85,7 +78,7 @@ def _denominator(ctx, t):
 
 def posterior_atom_weights(ctx: OracleContext, t, x) -> np.ndarray:
     """(m, J) posterior probabilities over atoms given X_t = x."""
-    X, _ = _as_batch(x)
+    X = as_points(x, "x")
     t = _times(t, X.shape[0])
     a, b, den = _denominator(ctx, t)
     diff = X[:, None, :] - b[:, None, None] * ctx.spec.atoms[None, :, :]
@@ -103,18 +96,17 @@ def gamma_coefficient(schedule: Schedule, sigma: float, t):
 
 def denoiser_exact(ctx: OracleContext, t, x) -> np.ndarray:
     """E[X_1 | X_t = x] for the mixture target."""
-    X, squeeze = _as_batch(x)
+    X = as_points(x, "x")
     t = _times(t, X.shape[0])
     a, b, den = _denominator(ctx, t)
     mean_u = posterior_atom_weights(ctx, t, X) @ ctx.spec.atoms
     s2 = ctx.spec.sigma**2
-    out = (a * a / den)[:, None] * mean_u + (s2 * b / den)[:, None] * X
-    return out[0] if squeeze else out
+    return (a * a / den)[:, None] * mean_u + (s2 * b / den)[:, None] * X
 
 
 def velocity_exact(ctx: OracleContext, t, x) -> np.ndarray:
     """Probability-flow velocity, in the cancellation-free mixture form."""
-    X, squeeze = _as_batch(x)
+    X = as_points(x, "x")
     t = _times(t, X.shape[0])
     a, b, den = _denominator(ctx, t)
     da = ctx.schedule.dalpha(t)
@@ -123,23 +115,21 @@ def velocity_exact(ctx: OracleContext, t, x) -> np.ndarray:
     mean_u = posterior_atom_weights(ctx, t, X) @ ctx.spec.atoms
     c_u = a * (a * db - da * b) / den
     gam = (a * da + s2 * b * db) / den
-    out = c_u[:, None] * mean_u + gam[:, None] * X
-    return out[0] if squeeze else out
+    return c_u[:, None] * mean_u + gam[:, None] * X
 
 
 def score_exact(ctx: OracleContext, t, x) -> np.ndarray:
     """grad log rho_t(x) = (beta * E[X_1|X_t=x] - x)/alpha^2; singular at t = 0."""
-    X, squeeze = _as_batch(x)
+    X = as_points(x, "x")
     t = _times(t, X.shape[0], allow_zero=False)
     a = ctx.schedule.alpha(t)
     b = ctx.schedule.beta(t)
-    out = (b[:, None] * denoiser_exact(ctx, t, X) - X) / (a * a)[:, None]
-    return out[0] if squeeze else out
+    return (b[:, None] * denoiser_exact(ctx, t, X) - X) / (a * a)[:, None]
 
 
 def conditional_cov_exact(ctx: OracleContext, t, x) -> np.ndarray:
     """cov(X_1 | X_t = x), one (d, d) matrix per input row."""
-    X, squeeze = _as_batch(x)
+    X = as_points(x, "x")
     t = _times(t, X.shape[0])
     a, _, den = _denominator(ctx, t)
     w = posterior_atom_weights(ctx, t, X)
@@ -150,8 +140,7 @@ def conditional_cov_exact(ctx: OracleContext, t, x) -> np.ndarray:
     ratio = (a * a / den)[:, None, None]
     gauss = (ctx.spec.sigma**2 * a * a / den)[:, None, None]
     eye = np.eye(ctx.spec.dim)[None, :, :]
-    out = ratio * ratio * cov_u + gauss * eye
-    return out[0] if squeeze else out
+    return ratio * ratio * cov_u + gauss * eye
 
 
 def flow_exact(ctx: OracleContext, t: float, s: float, x, tol: float = 1e-10,
@@ -164,15 +153,15 @@ def flow_exact(ctx: OracleContext, t: float, s: float, x, tol: float = 1e-10,
     """
     if not 0.0 <= t <= s <= 0.999:
         raise ValueError("flow_exact requires 0 <= t <= s <= 0.999")
-    X, squeeze = _as_batch(x)
+    X = as_points(x, "x")
     if s == t:
-        return (X[0] if squeeze else X).copy()
+        return X.copy()
     prev = _rk4(ctx, t, s, X, 8)
     steps = 16
     for _ in range(max_doublings):
         cur = _rk4(ctx, t, s, X, steps)
         if float(np.max(np.abs(cur - prev))) < tol:
-            return cur[0] if squeeze else cur
+            return cur
         prev = cur
         steps *= 2
     raise RuntimeError(f"flow_exact did not converge to tol={tol} within {steps // 2} steps")
@@ -194,7 +183,7 @@ def _rk4(ctx, t, s, X, steps):
 def manifold_decompose(ctx: OracleContext, t, x):
     """Split the velocity of an embedded target into tangential and normal parts.
 
-    Returns ``(tangential, normal, gamma)`` with
+    Returns ``(tangential, normal, gamma)``, shaped (m, d), (m, d) and (m,), with
 
         tangential = P b_low(t, P^T x)   (low-dim oracle on the pre-embedding mixture)
         normal     = gamma(t) (I - P P^T) x
@@ -204,13 +193,11 @@ def manifold_decompose(ctx: OracleContext, t, x):
     if ctx.spec.variant != "embedded" or ctx.spec.frame is None:
         raise ValueError("manifold_decompose requires an embedded target with a frame")
     P = ctx.spec.frame
-    X, squeeze = _as_batch(x)
+    X = as_points(x, "x")
     t = _times(t, X.shape[0])
     low_spec = atomic_mixture(ctx.spec.atoms @ P, sigma=ctx.spec.sigma, weights=ctx.spec.weights)
     low_ctx = OracleContext(low_spec, ctx.schedule)
     tangential = velocity_exact(low_ctx, t, X @ P) @ P.T
     gam = gamma_coefficient(ctx.schedule, ctx.spec.sigma, t)
     normal = gam[:, None] * (X - (X @ P) @ P.T)
-    if squeeze:
-        return tangential[0], normal[0], float(gam[0])
     return tangential, normal, gam

@@ -23,6 +23,7 @@ import numpy as np
 from .net import read_frame, write_frame
 from .rng import stream_normals
 from .schedule import Schedule
+from .target import as_points
 
 __all__ = [
     "NonFiniteState",
@@ -93,7 +94,7 @@ class TrajectoryBatch:
 
 
 def _integrate(step_fn, x0, grid: TimeGrid):
-    X = np.atleast_2d(np.asarray(x0, dtype=np.float64))
+    X = as_points(x0, "x0")
     nodes = grid.nodes
     out = np.empty((grid.steps + 1, X.shape[0], X.shape[1]))
     out[0] = X
@@ -108,27 +109,25 @@ def _integrate(step_fn, x0, grid: TimeGrid):
 
 
 def euler_flow(velocity, x0, grid: TimeGrid) -> np.ndarray:
-    """Forward-Euler trajectory of dx/dt = b(t, x) from each row of x0.
+    """Forward-Euler trajectory of dx/dt = b(t, x) from each row of x0 (m, d).
 
-    Returns (K+1, d) for a single start point, (K+1, m, d) for a batch.
+    Returns the states on every grid node, shaped (K+1, m, d).
     """
 
     def step(t, t_next, X):
         return X + (t_next - t) * velocity(t, X)
 
-    out = _integrate(step, x0, grid)
-    return out[:, 0, :] if np.asarray(x0).ndim == 1 else out
+    return _integrate(step, x0, grid)
 
 
 def ei_flow(denoiser, schedule: Schedule, x0, grid: TimeGrid) -> np.ndarray:
-    """First-order exponential-integrator trajectory driven by a denoiser."""
+    """First-order exponential-integrator trajectory from x0 (m, d); (K+1, m, d)."""
 
     def step(t, t_next, X):
         phi, psi = schedule.ei_coeffs(t, t_next)
         return phi * X + psi * denoiser(t, X)
 
-    out = _integrate(step, x0, grid)
-    return out[:, 0, :] if np.asarray(x0).ndim == 1 else out
+    return _integrate(step, x0, grid)
 
 
 def push_samples(method: str, field, m: int, dim: int, grid: TimeGrid, seed: int,

@@ -7,9 +7,10 @@ classical 2-D spiral: theta ~ Unif[1.5*pi, 4.5*pi], r = theta/(4.5*pi),
 point (r*cos(theta), r*sin(theta)) plus Gaussian noise, then a fixed affine
 rescale 1/(1 + 4*noise) so the support sits inside [-1, 1]^2.
 
-Point sets serialize to CSV with one leading provenance comment line, then a
-header ``x0,...,x{d-1}``, one row per point; a row of the wrong width or a
-field that is not a number fails to load with an error naming file and line.
+Every point set is an (m, d) array, checked by ``as_points``.  Point sets
+serialize to CSV with one leading provenance comment line, then a header
+``x0,...,x{d-1}``, one row per point; a row of the wrong width, a field that
+is not a number or a file without rows fails to load naming the file.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .rng import Rng
 
 __all__ = [
     "TargetSpec",
+    "as_points",
     "atomic_mixture",
     "embedded_mixture",
     "swiss_roll",
@@ -41,6 +43,14 @@ WEIGHT_SUM_TOL = 1e-12
 FRAME_ORTHO_TOL = 1e-10
 
 CSV_BLOCK_ROWS = 1024  # rows per format call in save_points; bounds the writer's memory
+
+
+def as_points(x, name: str = "points") -> np.ndarray:
+    """x as a float64 (m, d) array; any other ndim (1-D too) raises ValueError."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"{name} must be an (m, d) array, got shape {x.shape}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -67,7 +77,7 @@ class TargetSpec:
             if self.swiss_noise < 0:
                 raise ValueError("swiss_noise must be nonnegative")
             return
-        atoms = np.atleast_2d(np.asarray(self.atoms, dtype=np.float64))
+        atoms = as_points(self.atoms, "atoms")
         object.__setattr__(self, "atoms", atoms)
         if self.weights is None:
             weights = np.full(atoms.shape[0], 1.0 / atoms.shape[0])
@@ -168,7 +178,7 @@ def save_points(path, points: np.ndarray, provenance: str = "charflow"):
     Rows go out in blocks of CSV_BLOCK_ROWS, each formatted by one ``%r``
     format call (``%r`` of a float is its repr, the round-trip form).
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    points = as_points(points)
     d = points.shape[1]
     row = ",".join(["%r"] * d) + "\n"
     with atomic_open(path) as fh:
@@ -184,7 +194,7 @@ def load_points(path) -> np.ndarray:
 
     Every row must hold as many numbers as the ``x0,...`` header names (the
     first row's count when there is no header); otherwise one ValueError
-    names the file and the line.
+    names the file and the line; a file without rows is refused too.
     """
     rows = []
     width = None
@@ -204,4 +214,6 @@ def load_points(path) -> np.ndarray:
             width = len(fields) if width is None else width
             if len(fields) != width:
                 raise ValueError(f"{path}, line {lineno}: {len(fields)} fields, expected {width}")
+    if not rows:
+        raise ValueError(f"{path}: no points (no data rows)")
     return np.asarray(rows, dtype=np.float64)

@@ -14,7 +14,8 @@ runs Adam with one substream per iteration, so runs are reproducible from
 the config seed alone; ``train`` and every generator mode step through it.
 
 Field callables produced here follow one convention package-wide:
-``f(t, X) -> (m, d)`` where t is a scalar or an (m,) array and X is (m, d).
+``f(t, X) -> (m, d)`` where t is a scalar or an (m,) array and X is (m, d);
+data sets and inputs of any other shape raise ValueError.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from . import net as nets
 from .net import AdamState, Net, NetSpec
 from .rng import Rng
 from .schedule import Schedule, denoiser_coeffs
+from .target import as_points
 
 __all__ = [
     "InterpolantBatch",
@@ -137,7 +139,7 @@ class TrainConfig:
 
 def draw_batch(data: np.ndarray, schedule: Schedule, T: float, m: int, seed: int | Rng) -> InterpolantBatch:
     """t ~ Unif[0, T], X_0 ~ N(0, I), X_1 with replacement from data."""
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    data = as_points(data, "data")
     if data.shape[0] == 0:
         raise ValueError("data must be nonempty")
     rng = seed if isinstance(seed, Rng) else Rng(seed)
@@ -194,7 +196,7 @@ def denoiser_loss(net: Net, batch: InterpolantBatch, sigma_data: float, schedule
 
 def estimate_sigma_data(data: np.ndarray) -> float:
     """Average per-coordinate standard deviation of the training set."""
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    data = as_points(data, "data")
     return float(np.mean(np.std(data, axis=0)))
 
 
@@ -205,7 +207,7 @@ def train(config: TrainConfig, data: np.ndarray):
     net is initialized from substream 0 (the seed itself).  iterations=0
     returns the freshly initialized net.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    data = as_points(data, "data")
     net = nets.net_init(config.net_spec, config.seed)
     sigma_data = config.sigma_data
     if config.loss == "denoiser" and sigma_data is None:
@@ -228,20 +230,18 @@ def velocity_from_denoiser(denoiser, schedule: Schedule, t, x) -> np.ndarray:
     the limit form (for the follmer schedule b(0, x) = D(0, x)); singular at
     t = 1 where alpha vanishes.
     """
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    squeeze = np.asarray(x).ndim == 1
+    X = as_points(x, "x")
     t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), (X.shape[0],))
     dlog = schedule.dlog_alpha(t_arr)
     rate = schedule.rate(t_arr)
-    out = dlog[:, None] * X + rate[:, None] * np.atleast_2d(denoiser(t, X))
-    return out[0] if squeeze else out
+    return dlog[:, None] * X + rate[:, None] * as_points(denoiser(t, X), "denoiser output")
 
 
 def make_velocity(net: Net):
     """Wrap a velocity net as a field callable f(t, X) -> (m, d)."""
 
     def field_fn(t, X):
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = as_points(X, "X")
         return nets.forward_batch(net, _net_input(net, t, X))
 
     return field_fn
@@ -251,7 +251,7 @@ def make_denoiser(net: Net, schedule: Schedule, sigma_data: float):
     """Wrap an F-net as the denoiser D(t, x) = c_skip x + c_out F(c_noise, c_in x)."""
 
     def denoiser_fn(t, X):
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = as_points(X, "X")
         t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), (X.shape[0],))
         c_in, c_skip, c_out, c_noise, _ = denoiser_coeffs(schedule, t_arr, sigma_data)
         pred = nets.forward_batch(net, _net_input(net, c_noise, c_in[:, None] * X))
@@ -263,7 +263,4 @@ def make_denoiser(net: Net, schedule: Schedule, sigma_data: float):
 def denoiser_to_velocity_field(denoiser, schedule: Schedule):
     """Field callable applying the denoiser-to-velocity conversion pointwise."""
 
-    def field_fn(t, X):
-        return velocity_from_denoiser(denoiser, schedule, t, np.atleast_2d(X))
-
-    return field_fn
+    return lambda t, X: velocity_from_denoiser(denoiser, schedule, t, X)

@@ -209,7 +209,6 @@ def trajectory_lookup(batch: sampler.TrajectoryBatch):
     nodes = batch.grid.nodes
 
     def lookup(t, s, X):
-        X = np.atleast_2d(X)
         t = np.broadcast_to(np.asarray(t, dtype=np.float64), (X.shape[0],))
         s = np.broadcast_to(np.asarray(s, dtype=np.float64), (X.shape[0],))
         out = np.empty_like(X)

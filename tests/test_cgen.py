@@ -84,8 +84,8 @@ class TestGApply:
             assert np.max(np.abs(phi * x + psi * d_bar - reference)) < 1e-8
 
     def test_ordering_error(self):
-        with pytest.raises(ValueError):
-            g_apply(_student(), 0.5, 0.4, np.zeros(1))
+        with pytest.raises(ValueError, match=r"t <= s"):
+            g_apply(_student(), 0.5, 0.4, np.zeros((1, 1)))
 
     def test_input_dim_invariant(self):
         with pytest.raises(ValueError):
@@ -93,7 +93,7 @@ class TestGApply:
 
     def test_plain_student_has_no_denoiser_slice(self):
         with pytest.raises(ValueError):
-            student_denoiser(_student(plain=True), 0.1, 0.2, np.zeros(1))
+            student_denoiser(_student(plain=True), 0.1, 0.2, np.zeros((1, 1)))
 
 
 class TestRegressionLoss:
@@ -352,7 +352,7 @@ class TestSelfDistill:
         student = StudentNet(Net(spec, w.copy()), sch, 0.9, sigma_d)
         t, s, x = 0.15, 0.75, 1.3
         u = 0.5 * (t + s)
-        out = self_distill_reference(student, t, s, np.array([x]))
+        out = self_distill_reference(student, t, s, np.array([[x]]))[0]
         hand = _affine_g_hand(w, sigma_d, u, s, _affine_g_hand(w, sigma_d, t, u, x))
         assert out[0] == pytest.approx(hand, rel=1e-12)
 

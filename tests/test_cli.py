@@ -234,3 +234,37 @@ def test_checkpoint_of_another_dimension_is_refused(workspace, tmp_path, capsys,
     assert "dimension 2" in lines[0] and "dimension 1" in lines[0]
     after = {name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)}
     assert after == before
+
+
+def _cli(cfg, out, command):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "charflow.cli", command,
+                           "--config", str(cfg), "--out", out],
+                          capture_output=True, text=True, env=env)
+
+
+def test_header_only_data_file_fails_with_one_line(workspace):
+    cfg, out = workspace
+    assert _run(cfg, out, "gen-data") == 0
+    path = os.path.join(out, "data.csv")
+    with open(path) as fh:
+        head = [next(fh), next(fh)]   # provenance and header, no rows
+    with open(path, "w") as fh:
+        fh.writelines(head)
+    proc = _cli(cfg, out, "train-velocity")
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and path in lines[0] and "no points" in lines[0], proc.stderr
+    assert not os.path.exists(os.path.join(out, "field.ckpt"))
+
+
+def test_negative_learning_rate_fails_with_one_line(tmp_path):
+    # before the bound, lr = -1e-3 trained by gradient ascent and exited 0
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(TINY_PIPELINE.replace("iterations = 80", "iterations = 80\nlr = -1e-3"))
+    out = str(tmp_path / "out")
+    proc = _cli(cfg, out, "train-velocity")
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "velocity.lr must be finite and > 0" in lines[0], proc.stderr
+    assert not os.path.exists(os.path.join(out, "field.ckpt"))

@@ -115,3 +115,40 @@ class TestBounds:
 
     def test_seed_is_not_bounded(self):
         assert parse_config_text("[run]\nseed = -3\n").seed == -3
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("velocity", "lr", "-1e-3"), ("velocity", "lr", "0"), ("velocity", "lr", "inf"),
+        ("velocity", "lr", "nan"), ("cg", "lr", "-1e-3"), ("cg", "lr", "inf"),
+        ("velocity", "eps", "0"), ("target", "sigma", "0"), ("target", "sigma", "-0.25"),
+        ("velocity", "beta1", "1"), ("velocity", "beta1", "-0.1"), ("velocity", "beta2", "1.5"),
+        ("cg", "ema_rate", "1"), ("cg", "ema_rate", "-0.5"), ("cg", "ema_rate", "nan"),
+        ("velocity", "clip_grad_norm", "-1"), ("cg", "clip_grad_norm", "-1"),
+        ("cg", "lambda_local", "-1"), ("cg", "lambda_semigroup", "-0.1"),
+        ("target", "swiss_noise", "-0.05"), ("target", "swiss_noise", "nan"),
+    ])
+    def test_float_out_of_range_rejected_by_name(self, section, key, value):
+        with pytest.raises(ValueError, match=rf"^{section}\.{key} must .*, got "):
+            parse_config_text(f"[{section}]\n{key} = {value}\n")
+
+    def test_float_bounds_admit_their_edges(self):
+        text = """
+[target]
+swiss_noise = 0
+[velocity]
+lr = 1e6
+beta1 = 0
+beta2 = 0
+clip_grad_norm = 0
+[cg]
+lr = 1e-12
+ema_rate = 0
+lambda_local = 0
+lambda_semigroup = 0
+clip_grad_norm = 0
+"""
+        cfg = parse_config_text(text)
+        assert cfg["cg"]["ema_rate"] == 0.0 and cfg["target"]["swiss_noise"] == 0.0
+
+    def test_default_config_hash_is_unchanged(self):
+        # serialization feeds every artifact's provenance line; bounds must not move it
+        assert config_hash(parse_config_text(MINIMAL_SWISS)) == "ddbb9e63fb397bce"

@@ -3,8 +3,8 @@ import pytest
 
 from charflow import net as nets
 from charflow.net import (AdamState, Net, NetSpec, adam_step, ema_update, forward_batch,
-                          grad_batch, lipschitz_bound, load_net, net_forward, net_grad,
-                          net_init, save_net, time_features)
+                          grad_batch, lipschitz_bound, load_net, net_init, save_net,
+                          time_features)
 from charflow.rng import Rng
 from charflow.sampler import TimeGrid, TrajectoryBatch, load_trajectories, save_trajectories
 
@@ -41,7 +41,7 @@ class TestForward:
     def test_zero_net_zero_output(self):
         spec = NetSpec(3, (8, 8), 2)
         net = Net(spec, np.zeros(spec.param_count))
-        assert np.array_equal(net_forward(net, np.ones(3)), np.zeros(2))
+        assert np.array_equal(forward_batch(net, np.ones((1, 3)))[0], np.zeros(2))
 
     def test_affine_net(self):
         spec = NetSpec(2, (), 2)
@@ -49,7 +49,7 @@ class TestForward:
         b = np.array([0.5, -0.5])
         net = Net(spec, np.concatenate([w.ravel(), b]))
         x = np.array([1.0, -1.0])
-        assert np.array_equal(net_forward(net, x), w @ x + b)
+        assert np.array_equal(forward_batch(net, x[None, :])[0], w @ x + b)
 
     def test_relu_kills_negative_first_layer(self):
         spec = NetSpec(1, (4, 3), 2, activation="relu")
@@ -59,7 +59,7 @@ class TestForward:
         w0, b0 = layers[0]
         w0[:] = -np.abs(w0) - 0.1
         b0[:] = 0.0
-        out = net_forward(net, np.array([1.0]))
+        out = forward_batch(net, np.array([[1.0]]))[0]
         # equals the remaining layers applied to the zero vector
         rest = forward_batch(Net(NetSpec(4, (3,), 2), net.params[spec.input_dim * 4 + 4:]),
                              np.zeros((1, 4)))[0]
@@ -68,7 +68,7 @@ class TestForward:
     def test_dimension_mismatch(self):
         net = net_init(NetSpec(3, (4,), 2), 0)
         with pytest.raises(ValueError):
-            net_forward(net, np.ones(4))
+            forward_batch(net, np.ones((1, 4)))
 
 
 class TestGrad:
@@ -84,20 +84,23 @@ class TestGrad:
             net = net_init(spec, trial)
             x = rng.normal((spec.input_dim,))
             up = rng.normal((spec.output_dim,))
-            pg, ig = net_grad(net, x, up)
+            pg, ig = grad_batch(net, x[None, :], up[None, :])
+            ig = ig[0]
             h = 1e-5
             for _ in range(3):
                 v = rng.normal(net.params.shape)
                 v /= np.linalg.norm(v)
                 plus = Net(spec, net.params + h * v)
                 minus = Net(spec, net.params - h * v)
-                fd = (up @ net_forward(plus, x) - up @ net_forward(minus, x)) / (2 * h)
+                fd = (up @ forward_batch(plus, x[None, :])[0]
+                      - up @ forward_batch(minus, x[None, :])[0]) / (2 * h)
                 an = float(pg @ v)
                 assert abs(fd - an) <= 1e-4 * max(abs(fd), abs(an), 1e-8)
             for _ in range(2):
                 v = rng.normal(x.shape)
                 v /= np.linalg.norm(v)
-                fd = (up @ net_forward(net, x + h * v) - up @ net_forward(net, x - h * v)) / (2 * h)
+                fd = (up @ forward_batch(net, (x + h * v)[None, :])[0]
+                      - up @ forward_batch(net, (x - h * v)[None, :])[0]) / (2 * h)
                 an = float(ig @ v)
                 assert abs(fd - an) <= 1e-4 * max(abs(fd), abs(an), 1e-8)
             checked += 1
@@ -108,14 +111,16 @@ class TestGrad:
         net = net_init(spec, 5)
         x = np.array([1.0, 2.0, 3.0])
         up = np.array([0.5, -1.5])
-        pg, ig = net_grad(net, x, up)
+        pg, ig = grad_batch(net, x[None, :], up[None, :])
+        ig = ig[0]
         assert np.array_equal(pg[:6].reshape(2, 3), np.outer(up, x))
         assert np.array_equal(pg[6:], up)
         assert np.allclose(ig, nets._unpack(net)[0][0].T @ up)
 
     def test_zero_upstream(self):
         net = net_init(NetSpec(3, (5,), 2), 1)
-        pg, ig = net_grad(net, np.ones(3), np.zeros(2))
+        pg, ig = grad_batch(net, np.ones((1, 3)), np.zeros((1, 2)))
+        ig = ig[0]
         assert np.array_equal(pg, np.zeros_like(net.params))
         assert np.array_equal(ig, np.zeros(3))
 
@@ -125,10 +130,10 @@ class TestGrad:
         X = Rng(3).normal((6, 4))
         U = Rng(4).normal((6, 3))
         pg, ig = grad_batch(net, X, U)
-        pg_rows = sum(net_grad(net, X[i], U[i])[0] for i in range(6))
+        pg_rows = sum(grad_batch(net, X[i:i + 1], U[i:i + 1])[0] for i in range(6))
         assert np.max(np.abs(pg - pg_rows)) < 1e-12
         for i in range(6):
-            assert np.allclose(ig[i], net_grad(net, X[i], U[i])[1])
+            assert np.allclose(ig[i], grad_batch(net, X[i:i + 1], U[i:i + 1])[1][0])
 
 
 class TestAdam:
@@ -202,7 +207,7 @@ class TestLipschitz:
         rng = Rng(12)
         for _ in range(50):
             x, y = rng.normal((4,)), rng.normal((4,))
-            fx, fy = net_forward(net, x), net_forward(net, y)
+            fx, fy = forward_batch(net, x[None, :])[0], forward_batch(net, y[None, :])[0]
             assert np.linalg.norm(fx - fy) <= L * np.linalg.norm(x - y) * (1 + 1e-9)
 
     def test_power_iteration_close_to_svd(self):

@@ -19,14 +19,14 @@ CUBE_2D = atomic_mixture(np.array([[0.1, 0.2], [0.8, 0.6], [0.4, 0.9]]), sigma=0
 class TestDenoiser:
     def test_gaussian_point_value(self):
         ctx = OracleContext(GAUSS2, LINEAR)
-        out = denoiser_exact(ctx, 0.5, np.array([1.0, 0.0]))
+        out = denoiser_exact(ctx, 0.5, np.array([[1.0, 0.0]]))[0]
         # sigma^2 beta / (alpha^2 + sigma^2 beta^2) = 0.125 / 0.3125 = 0.4
         assert np.allclose(out, [0.4, 0.0], atol=1e-15)
 
     def test_two_atom_symmetry_at_origin(self):
         ctx = OracleContext(TWO_1D, LINEAR)
         for t in (0.0, 0.3, 0.7, 0.95):
-            assert abs(denoiser_exact(ctx, t, np.array([0.0]))[0]) < 1e-15
+            assert abs(denoiser_exact(ctx, t, np.array([[0.0]]))[0, 0]) < 1e-15
 
     def test_against_brute_force_conditional_mean(self):
         # independent oracle: E[X_1 | |X_t - x| < h] by rejection over 10^6 draws
@@ -45,26 +45,26 @@ class TestDenoiser:
             assert count > 2000
             est = x1[mask].mean()
             stderr = x1[mask].std() / np.sqrt(count)
-            exact = denoiser_exact(ctx, t, np.array([x]))[0]
+            exact = denoiser_exact(ctx, t, np.array([[x]]))[0, 0]
             assert abs(est - exact) < 5 * stderr + 2e-3  # 2e-3 covers the O(h^2) window bias
 
     def test_rejects_t_at_one(self):
         ctx = OracleContext(GAUSS2, LINEAR)
-        with pytest.raises(ValueError):
-            denoiser_exact(ctx, 1.0, np.zeros(2))
+        with pytest.raises(ValueError, match="strictly below 1"):
+            denoiser_exact(ctx, 1.0, np.zeros((1, 2)))
 
 
 class TestVelocity:
     def test_gaussian_point_value(self):
         ctx = OracleContext(GAUSS2, LINEAR)
-        out = velocity_exact(ctx, 0.5, np.array([1.0, 0.0]))
+        out = velocity_exact(ctx, 0.5, np.array([[1.0, 0.0]]))[0]
         # (alpha dalpha + sigma^2 beta dbeta)/(alpha^2 + sigma^2 beta^2) = -0.375/0.3125
         assert np.allclose(out, [-1.2, 0.0], atol=1e-15)
 
     def test_odd_symmetry(self):
         ctx = OracleContext(TWO_1D, FOLLMER)
         for t in (0.1, 0.5, 0.9):
-            assert abs(velocity_exact(ctx, t, np.array([0.0]))[0]) < 1e-15
+            assert abs(velocity_exact(ctx, t, np.array([[0.0]]))[0, 0]) < 1e-15
 
     @pytest.mark.parametrize("spec,sch", [(TWO_1D, LINEAR), (CUBE_2D, FOLLMER)],
                              ids=["two-1d-linear", "cube-2d-follmer"])
@@ -82,12 +82,12 @@ class TestVelocity:
 class TestScore:
     def test_gaussian_closed_form(self):
         ctx = OracleContext(atomic_mixture(np.zeros((1, 1)), sigma=0.5), LINEAR)
-        out = score_exact(ctx, 0.5, np.array([1.0]))
+        out = score_exact(ctx, 0.5, np.array([[1.0]]))[0]
         assert abs(out[0] + 3.2) < 1e-14  # -x / (alpha^2 + sigma^2 beta^2)
 
     def test_symmetric_point(self):
         ctx = OracleContext(TWO_1D, LINEAR)
-        assert abs(score_exact(ctx, 0.5, np.array([0.0]))[0]) < 1e-15
+        assert abs(score_exact(ctx, 0.5, np.array([[0.0]]))[0, 0]) < 1e-15
 
     def test_against_log_density_finite_difference(self):
         # independent oracle: rho_t is an explicit Gaussian mixture; differentiate its log
@@ -111,19 +111,19 @@ class TestScore:
                 (log_rho(t, x + h * e) - log_rho(t, x - h * e)) / (2 * h)
                 for e in np.eye(2)
             ])
-            assert np.max(np.abs(fd - score_exact(ctx, t, x))) < 1e-6
+            assert np.max(np.abs(fd - score_exact(ctx, t, x[None, :])[0])) < 1e-6
 
     def test_singular_at_zero(self):
         ctx = OracleContext(TWO_1D, LINEAR)
-        with pytest.raises(ValueError):
-            score_exact(ctx, 0.0, np.array([0.5]))
+        with pytest.raises(ValueError, match="strictly above 0"):
+            score_exact(ctx, 0.0, np.array([[0.5]]))
 
 
 class TestFlow:
     def test_gaussian_closed_form_factor(self):
         ctx = OracleContext(GAUSS2, LINEAR)
         x = np.array([2.0, 0.0])
-        out = flow_exact(ctx, 0.0, 0.999, x, tol=1e-12)
+        out = flow_exact(ctx, 0.0, 0.999, x[None, :], tol=1e-12)[0]
         factor = np.sqrt(LINEAR.alpha(0.999) ** 2 + 0.25 * LINEAR.beta(0.999) ** 2)
         assert np.max(np.abs(out - factor * x)) < 1e-9
         # 2 * factor = 0.999002...; the limit of the factor as s -> 1 is sigma
@@ -132,7 +132,7 @@ class TestFlow:
 
     def test_identity_at_equal_times(self):
         ctx = OracleContext(TWO_1D, LINEAR)
-        x = np.array([0.37])
+        x = np.array([[0.37]])
         assert np.array_equal(flow_exact(ctx, 0.4, 0.4, x), x)
 
     def test_semigroup(self):
@@ -146,12 +146,12 @@ class TestFlow:
     def test_budget_exhaustion(self):
         ctx = OracleContext(GAUSS2, LINEAR)
         with pytest.raises(RuntimeError):
-            flow_exact(ctx, 0.0, 0.9, np.array([1.0, 1.0]), tol=1e-16, max_doublings=1)
+            flow_exact(ctx, 0.0, 0.9, np.array([[1.0, 1.0]]), tol=1e-16, max_doublings=1)
 
     def test_ordering_validated(self):
         ctx = OracleContext(GAUSS2, LINEAR)
         with pytest.raises(ValueError):
-            flow_exact(ctx, 0.5, 0.4, np.zeros(2))
+            flow_exact(ctx, 0.5, 0.4, np.zeros((1, 2)))
 
 
 class TestManifold:
@@ -170,18 +170,19 @@ class TestManifold:
 
     def test_gamma_value(self):
         assert abs(gamma_coefficient(LINEAR, 0.5, 0.5) + 1.2) < 1e-14
-        _, _, gam = manifold_decompose(self.ctx, 0.5, np.ones(3))
+        _, _, gam = manifold_decompose(self.ctx, 0.5, np.ones((1, 3)))
+        gam = gam[0]
         assert abs(gam + 1.2) < 1e-14
 
     def test_column_space_has_zero_normal_part(self):
-        x = (self.frame @ np.array([[0.7]])).ravel()
+        x = (self.frame @ np.array([[0.7]])).T
         _, norm, _ = manifold_decompose(self.ctx, 0.3, x)
         assert np.max(np.abs(norm)) < 1e-12
 
     def test_requires_frame(self):
         ctx = OracleContext(TWO_1D, LINEAR)
         with pytest.raises(ValueError):
-            manifold_decompose(ctx, 0.3, np.array([0.0]))
+            manifold_decompose(ctx, 0.3, np.array([[0.0]]))
 
 
 class TestRegularityBounds:
@@ -198,7 +199,8 @@ class TestRegularityBounds:
             h = 1e-5 * (1.0 + np.max(np.abs(x)))
             jac = np.zeros((d, d))
             for j, e in enumerate(np.eye(d)):
-                jac[:, j] = (velocity_exact(ctx, t, x + h * e) - velocity_exact(ctx, t, x - h * e)) / (2 * h)
+                jac[:, j] = (velocity_exact(ctx, t, (x + h * e)[None, :])[0]
+                             - velocity_exact(ctx, t, (x - h * e)[None, :])[0]) / (2 * h)
             sym = 0.5 * (jac + jac.T)
             eigs = np.linalg.eigvalsh(sym)
             a, b, da, db = LINEAR.coeffs(t)
@@ -216,7 +218,7 @@ class TestRegularityBounds:
         for _ in range(60):
             t = 0.98 * rng.uniform()
             x = 1.5 * rng.normal((d,))
-            cov = conditional_cov_exact(ctx, t, x)
+            cov = conditional_cov_exact(ctx, t, x[None, :])[0]
             eigs = np.linalg.eigvalsh(cov)
             a, b, _, _ = FOLLMER.coeffs(t)
             den = a * a + spec.sigma**2 * b * b
@@ -243,7 +245,7 @@ class TestRegularityBounds:
         # kappa-style blow-up needs 1 - t >> sigma to be visible, so probe sigma = 0.1
         spec = atomic_mixture(np.zeros((1, 1)), sigma=0.1)
         ctx = OracleContext(spec, LINEAR)
-        x = np.array([1.0])
+        x = np.array([[1.0]])
         h = 1e-6
 
         def dbdt(t):

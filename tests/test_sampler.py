@@ -37,13 +37,13 @@ class TestEulerFlow:
         c = np.array([0.3, -0.7])
         for K in (1, 7, 64):
             grid = TimeGrid(stop_time=0.9, steps=K)
-            traj = euler_flow(lambda t, X: np.broadcast_to(c, X.shape), np.zeros(2), grid)
+            traj = euler_flow(lambda t, X: np.broadcast_to(c, X.shape), np.zeros((1, 2)), grid)[:, 0, :]
             assert traj.shape == (K + 1, 2)
             assert np.max(np.abs(traj[-1] - 0.9 * c)) < 1e-12
 
     def test_first_order_error_halves(self):
         ctx = OracleContext(GAUSS2, LINEAR)
-        x0 = np.array([1.3, -0.4])
+        x0 = np.array([[1.3, -0.4]])
         exact = flow_exact(ctx, 0.0, 0.99, x0, tol=1e-12)
         errs = []
         for K in (100, 200, 400):
@@ -67,7 +67,7 @@ class TestEulerFlow:
             return np.full_like(X, np.inf)
 
         with pytest.raises(RuntimeError, match="step 1"):
-            euler_flow(bad, np.zeros(2), TimeGrid(0.9, 4))
+            euler_flow(bad, np.zeros((1, 2)), TimeGrid(0.9, 4))
 
 
 class TestEiFlow:
@@ -105,7 +105,7 @@ class TestEiFlow:
             ctx = OracleContext(spec, schedule)
             den = lambda t, X: denoiser_exact(ctx, t, X)
             vel = lambda t, X: velocity_exact(ctx, t, X)
-            x0 = np.array([1.0])
+            x0 = np.array([[1.0]])
             exact = flow_exact(ctx, 0.0, 0.9, x0, tol=1e-12)
             for K in (10, 40, 160):
                 grid = TimeGrid(0.9, K)

@@ -140,9 +140,23 @@ def _per_element_writer(path, points, provenance):
     np.zeros((0, 3)),
 ])
 def test_block_writer_writes_the_per_element_bytes(tmp_path, points):
+    if points.ndim != 2:  # not a point set: refused, nothing written
+        with pytest.raises(ValueError, match=r"must be an \(m, d\) array, got shape \(2,\)"):
+            save_points(tmp_path / "block.csv", points, provenance="p")
+        assert not (tmp_path / "block.csv").exists()
+        return
     save_points(tmp_path / "block.csv", points, provenance="p")
     _per_element_writer(tmp_path / "ref.csv", points, provenance="p")
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("body", ["", "\n\n# a comment\n"])
+def test_point_file_without_rows_is_refused(tmp_path, body):
+    path = tmp_path / "points.csv"
+    path.write_text("# charflow\nx0,x1\n" + body)
+    with pytest.raises(ValueError, match="no points") as err:
+        load_points(path)
+    assert str(path) in str(err.value)
 
 
 @pytest.mark.parametrize("body, line", [

@@ -214,15 +214,15 @@ class TestVelocityFromDenoiser:
             assert np.max(np.abs(lhs - velocity_exact(ctx, t, x))) < 1e-12
 
     def test_follmer_limit_at_zero(self):
-        den = lambda t, X: np.full_like(np.atleast_2d(X), 0.7)
-        out = velocity_from_denoiser(den, FOLLMER, 0.0, np.array([2.0]))
+        den = lambda t, X: np.full_like(X, 0.7)
+        out = velocity_from_denoiser(den, FOLLMER, 0.0, np.array([[2.0]]))[0]
         # coefficient of x -> 0 and coefficient of D -> 1, so b(0, x) = D(0, x)
         assert abs(out[0] - 0.7) < 1e-15
 
     def test_zero_denoiser(self):
-        den = lambda t, X: np.zeros_like(np.atleast_2d(X))
-        x = np.array([1.5])
-        out = velocity_from_denoiser(den, LINEAR, 0.25, x)
+        den = lambda t, X: np.zeros_like(X)
+        x = np.array([[1.5]])
+        out = velocity_from_denoiser(den, LINEAR, 0.25, x)[0]
         assert abs(out[0] - LINEAR.dlog_alpha(0.25) * 1.5) < 1e-15
 
 
