@@ -19,9 +19,14 @@ A bad run exits 2 with one ``error:`` line on stderr, never a traceback: a
 bad config (a float key out of its range included), a missing or damaged
 input (a point file with no rows included), a checkpoint whose output dimension
 differs from the config's target (refused before the command writes its
-outputs), a training run that diverges (the line names the command and the
-iteration; no checkpoint is written) and a sampler whose state turns
+outputs), a training run that diverges (a non-finite loss, or a loss above
+``velocity.DIVERGENCE_FACTOR`` times the first; the line names the command
+and the iteration; no checkpoint is written) and a sampler whose state turns
 non-finite (the line names the command and the step).
+
+A command pays for what it uses: scipy is loaded only by an exact W2 in
+two or more dimensions (``eval`` and ``verify``), and the training and
+sampling loops reuse the network's work arrays (``net.buffer_pool``).
 """
 
 from __future__ import annotations

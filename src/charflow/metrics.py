@@ -5,7 +5,10 @@ measures up to n = 4096.  On the line it matches the sorted orders (the
 monotone coupling is the unique optimum of a strictly convex cost), in
 O(n log n); for d >= 2 it solves the assignment problem exactly
 (Jonker-Volgenant via scipy) on an n x n cost matrix filled in row blocks
-of a few MB.  Larger comparisons go through ``sliced_w2``.
+of a few MB.  Larger comparisons go through ``sliced_w2``.  scipy is
+imported on the first d >= 2 call, not with this module: importing
+``scipy.optimize`` takes about 0.6 s, several times what the rest of the
+package costs to import, and nothing else in the package needs it.
 ``w2_gaussian`` is the closed form between Gaussians and doubles as an
 independent calibration oracle for the empirical estimators.
 
@@ -18,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .fileio import atomic_open
 from .rng import Rng
@@ -57,9 +59,9 @@ def w2_exact(A: np.ndarray, B: np.ndarray) -> float:
 
     sqrt(min over matchings of mean ||a_i - b_pi(i)||^2), n <= 4096.  One
     column: the stable sorted orders give the matching; d >= 2: the
-    assignment on the squared-distance cost.  Either way the matched costs
-    are averaged in A's row order.  Non-(n, d) or non-finite input raises
-    ValueError.
+    assignment on the squared-distance cost (scipy, imported by the first
+    such call).  Either way the matched costs are averaged in A's row
+    order.  Non-(n, d) or non-finite input raises ValueError.
     """
     A = as_points(A, "A")
     B = as_points(B, "B")
@@ -76,6 +78,8 @@ def w2_exact(A: np.ndarray, B: np.ndarray) -> float:
         cols = np.empty(n, dtype=np.intp)
         cols[np.argsort(A[:, 0], kind="stable")] = np.argsort(B[:, 0], kind="stable")
         return float(np.sqrt(np.sum((A - B[cols]) ** 2, axis=1).mean()))
+    from scipy.optimize import linear_sum_assignment
+
     cost = _sq_cost(A, B)
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))

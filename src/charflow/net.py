@@ -22,10 +22,27 @@ Checkpoints and trajectory files share one binary frame (``write_frame`` /
 ``read_frame``): magic, provenance line, length-prefixed JSON header (here
 the spec plus caller extras), then a little-endian float64 body (here the
 parameters).  Checkpoints round-trip bit-exactly.
+
+Work arrays come from ``buffer_pool``.  While a ``with buffer_pool():`` block
+is open, ``forward_batch``, ``grad_batch``, ``adam_step`` and ``ema_update``
+take their (m, width) and parameter-sized work arrays from a free list per
+shape and give them back when spent, so a training or sampling loop stops
+allocating after its first iteration; the free lists are dropped when the
+outermost block closes and nothing is kept after it.  Outside a block each
+work array is a fresh ``np.empty`` (the cache-free forward pass opens a
+block of its own, so it alternates between two buffers).  No function
+returns an array that belongs to the pool: outputs, parameter gradients and
+input gradients are fresh arrays.  The exception is the forward cache, which
+holds pooled arrays until ``grad_batch`` spends it; inside a block a cache is
+single-use, and passing a spent one raises ValueError.  Outside a block a
+cache can be passed any number of times.  Pooled or not, every result has
+the same bits, because the same operations run in the same order.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import dataclasses
 import json
 from dataclasses import dataclass
@@ -39,6 +56,7 @@ __all__ = [
     "NetSpec",
     "Net",
     "AdamState",
+    "buffer_pool",
     "time_features",
     "time_feature_dim",
     "net_init",
@@ -122,15 +140,17 @@ def time_features(t, kind: str, fourier_k: int = 4) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-def _unpack(net: Net):
+def _unpack(net: Net, flat: np.ndarray | None = None):
+    """Per-layer (W, b) views of ``flat`` (the parameters by default) in the net's layout."""
+    flat = net.params if flat is None else flat
     dims = net.spec.layer_dims
     layers = []
     off = 0
     for i in range(len(dims) - 1):
         fan_in, fan_out = dims[i], dims[i + 1]
-        w = net.params[off : off + fan_in * fan_out].reshape(fan_out, fan_in)
+        w = flat[off : off + fan_in * fan_out].reshape(fan_out, fan_in)
         off += fan_in * fan_out
-        b = net.params[off : off + fan_out]
+        b = flat[off : off + fan_out]
         off += fan_out
         layers.append((w, b))
     return layers
@@ -150,57 +170,112 @@ def net_init(spec: NetSpec, seed: int) -> Net:
     return Net(spec, np.concatenate(chunks))
 
 
-def _sigmoid(z, out=None):
-    """1 / (1 + exp(-z)) with one exp, written into ``out`` (a new array by default)."""
+# The open pool: shape -> list of free work arrays; None outside every block.
+_POOL = contextvars.ContextVar("charflow_net_buffer_pool", default=None)
+
+
+@contextlib.contextmanager
+def buffer_pool():
+    """Recycle the network's work arrays until the block ends (see the module docstring).
+
+    A block opened inside another one shares the outer pool; the free lists
+    go when the outermost block closes.
+    """
+    if _POOL.get() is not None:
+        yield
+        return
+    token = _POOL.set({})
+    try:
+        yield
+    finally:
+        _POOL.reset(token)
+
+
+def _take(pool, shape) -> np.ndarray:
+    """An uninitialised float64 work array: a recycled one when the pool has it."""
+    free = pool.get(shape) if pool is not None else None
+    return free.pop() if free else np.empty(shape)
+
+
+def _give(pool, *arrays):
+    """Hand spent work arrays back to the pool (nothing happens without one)."""
+    if pool is not None:
+        for a in arrays:
+            pool.setdefault(a.shape, []).append(a)
+
+
+class _Cache:
+    """Per hidden layer: pre-activation, activation (post[0] is the input), SiLU sigmoid."""
+
+    __slots__ = ("pre", "post", "sigs", "pool")
+
+    def __init__(self, pre, post, sigs, pool):
+        self.pre, self.post, self.sigs, self.pool = pre, post, sigs, pool
+
+
+def _sigmoid(z, out):
+    """1 / (1 + exp(-z)) with one exp, written into ``out``."""
     s = np.negative(z, out=out)
     np.exp(s, out=s)
     s += 1.0
     return np.divide(1.0, s, out=s)
 
 
-def _act_grad(z, sig):
-    """Activation derivative at z; sig is the cached sigmoid (None for ReLU)."""
+def _act_grad(z, sig, out):
+    """Activation derivative at z, written into ``out``; sig is the cached sigmoid (None for ReLU).
+
+    ReLU: 1.0 where z > 0, else 0.0.  SiLU: sig * (1 + z * (1 - sig)), each
+    product and sum taken in that order.
+    """
     if sig is None:
-        return (z > 0.0).astype(np.float64)
-    return sig * (1.0 + z * (1.0 - sig))
+        return np.greater(z, 0.0, out=out)
+    np.subtract(1.0, sig, out=out)
+    out *= z
+    out += 1.0
+    out *= sig
+    return out
 
 
 def forward_batch(net: Net, X: np.ndarray, want_cache: bool = False):
-    """MLP forward pass on rows of X (m, input_dim).
+    """MLP forward pass on rows of X (m, input_dim); returns a fresh (m, output_dim) array.
 
-    With ``want_cache`` also returns ``(pre, post, sigs)`` for ``grad_batch``:
-    per hidden layer the pre-activation, the activation (post[0] is X) and
-    the SiLU sigmoid (None for ReLU).  Without it the bias and activation
-    are applied in place, so each layer allocates only its matmul output.
+    With ``want_cache`` also returns the cache ``grad_batch`` consumes: per
+    hidden layer the pre-activation, the activation and the SiLU sigmoid,
+    each in its own work array.  Without it the bias and activation are
+    applied in place and the layers alternate between two work arrays.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.spec.input_dim:
         raise ValueError(f"input shape {X.shape} does not match input_dim {net.spec.input_dim}")
+    pool = _POOL.get()
+    if pool is None and not want_cache:
+        with buffer_pool():
+            return forward_batch(net, X)
     layers = _unpack(net)
     silu = net.spec.activation == "silu"
     h = X
     pre, post, sigs = [], [X], []
-    buf = None
     for w, b in layers[:-1]:
-        z = h @ w.T
+        z = np.matmul(h, w.T, out=_take(pool, (X.shape[0], w.shape[0])))
         z += b
+        if not want_cache and h is not X:
+            _give(pool, h)
+        sig = _sigmoid(z, out=_take(pool, z.shape)) if silu else None
+        dest = _take(pool, z.shape) if want_cache else z
+        h = np.multiply(z, sig, out=dest) if silu else np.maximum(z, 0.0, out=dest)
         if want_cache:
-            sig = _sigmoid(z) if silu else None
-            h = z * sig if silu else np.maximum(z, 0.0)
             pre.append(z)
             post.append(h)
             sigs.append(sig)
         elif silu:
-            if buf is None or buf.shape != z.shape:
-                buf = np.empty_like(z)
-            h = np.multiply(z, _sigmoid(z, out=buf), out=z)
-        else:
-            h = np.maximum(z, 0.0, out=z)
+            _give(pool, sig)
     w, b = layers[-1]
     out = h @ w.T
     out += b
     if want_cache:
-        return out, (pre, post, sigs)
+        return out, _Cache(pre, post, sigs, pool)
+    if h is not X:
+        _give(pool, h)
     return out
 
 
@@ -209,29 +284,42 @@ def grad_batch(net: Net, X: np.ndarray, upstream: np.ndarray, cache=None):
 
     Returns ``(param_grad, input_grads)`` where param_grad is the flat
     gradient summed over the batch (fixed accumulation order: one matmul per
-    layer) and input_grads has one row per input.  Pass the cache from
-    ``forward_batch(..., want_cache=True)`` to skip the re-forward.
+    layer, written straight into its slice of the flat vector) and
+    input_grads has one row per input; both are fresh arrays.  Pass the
+    cache from ``forward_batch(..., want_cache=True)`` to skip the
+    re-forward.  A cache made inside a ``buffer_pool`` block goes back to the
+    pool here, and passing it again raises ValueError.
     """
     X = np.asarray(X, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (X.shape[0], net.spec.output_dim):
         raise ValueError(f"upstream shape {upstream.shape} does not match output_dim")
-    layers = _unpack(net)
     if cache is None:
         _, cache = forward_batch(net, X, want_cache=True)
-    pre, post, sigs = cache
-
-    grads = [None] * len(layers)
+    if cache.pre is None:
+        raise ValueError("this forward cache was already spent by grad_batch inside a "
+                         "buffer pool; run forward_batch again")
+    pre, post, sigs, pool = cache.pre, cache.post, cache.sigs, cache.pool
+    layers = _unpack(net)
+    param_grad = np.empty(net.spec.param_count)
+    grads = _unpack(net, param_grad)
     delta = upstream
     for i in range(len(layers) - 1, -1, -1):
         w, _ = layers[i]
-        gw = delta.T @ post[i]
-        gb = delta.sum(axis=0)
-        grads[i] = (gw, gb)
-        delta = delta @ w
+        gw, gb = grads[i]
+        np.matmul(delta.T, post[i], out=gw)
+        np.sum(delta, axis=0, out=gb)
+        below = np.matmul(delta, w, out=_take(pool, (X.shape[0], w.shape[1])) if i > 0 else None)
+        if delta is not upstream:
+            _give(pool, delta)
         if i > 0:
-            delta = delta * _act_grad(pre[i - 1], sigs[i - 1])
-    param_grad = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+            act = _act_grad(pre[i - 1], sigs[i - 1], _take(pool, below.shape))
+            below *= act
+            _give(pool, act)
+        delta = below
+    if pool is not None:
+        _give(pool, *pre, *post[1:], *(s for s in sigs if s is not None))
+        cache.pre = cache.post = cache.sigs = None
     return param_grad, delta
 
 
@@ -262,11 +350,24 @@ def adam_step(state: AdamState, net: Net, grad: np.ndarray):
     if state.m is None:
         state.for_net(net)
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    mhat = state.m / (1.0 - state.beta1**state.step)
-    vhat = state.v / (1.0 - state.beta2**state.step)
-    net.params -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+    # in place, as m <- b1 m + (1 - b1) g, v <- b2 v + ((1 - b2) g) g and
+    # params <- params - (lr mhat) / (sqrt(vhat) + eps), operation for operation
+    pool = _POOL.get()
+    mhat, vhat = _take(pool, grad.shape), _take(pool, grad.shape)
+    state.m *= state.beta1
+    state.m += np.multiply(1.0 - state.beta1, grad, out=mhat)
+    np.multiply(1.0 - state.beta2, grad, out=vhat)
+    vhat *= grad
+    state.v *= state.beta2
+    state.v += vhat
+    np.divide(state.m, 1.0 - state.beta1**state.step, out=mhat)
+    np.divide(state.v, 1.0 - state.beta2**state.step, out=vhat)
+    mhat *= state.lr
+    np.sqrt(vhat, out=vhat)
+    vhat += state.eps
+    mhat /= vhat
+    net.params -= mhat
+    _give(pool, mhat, vhat)
     return state, net
 
 
@@ -276,8 +377,11 @@ def ema_update(ema: Net, live: Net, rate: float) -> Net:
         raise ValueError("ema and live nets must share a spec")
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must lie in [0, 1]")
+    pool = _POOL.get()
+    step = np.multiply(1.0 - rate, live.params, out=_take(pool, live.params.shape))
     ema.params *= rate
-    ema.params += (1.0 - rate) * live.params
+    ema.params += step
+    _give(pool, step)
     return ema
 
 

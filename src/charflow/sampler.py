@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import read_frame, write_frame
+from .net import buffer_pool, read_frame, write_frame
 from .rng import stream_normals
 from .schedule import Schedule
 from .target import as_points
@@ -94,12 +94,17 @@ class TrajectoryBatch:
 
 
 def _integrate(step_fn, x0, grid: TimeGrid):
+    """States of ``X <- step_fn(t_k, t_k+1, X)`` on every node of the grid, (K+1, m, d).
+
+    The steps run inside one ``net.buffer_pool`` block, so a network field
+    reuses its work arrays from step to step.  Overflow warnings are
+    silenced: a non-finite state raises NonFiniteState naming the step.
+    """
     X = as_points(x0, "x0")
     nodes = grid.nodes
     out = np.empty((grid.steps + 1, X.shape[0], X.shape[1]))
     out[0] = X
-    # overflow warnings are silenced: a non-finite state raises NonFiniteState
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), buffer_pool():
         for k in range(grid.steps):
             X = step_fn(nodes[k], nodes[k + 1], X)
             if not np.all(np.isfinite(X)):

@@ -34,6 +34,7 @@ __all__ = [
     "InterpolantBatch",
     "TrainConfig",
     "TrainingDiverged",
+    "DIVERGENCE_FACTOR",
     "draw_batch",
     "velocity_loss",
     "denoiser_loss",
@@ -50,8 +51,12 @@ __all__ = [
 ]
 
 
+# A loss above this multiple of the first iteration's loss is a divergence.
+DIVERGENCE_FACTOR = 1e6
+
+
 class TrainingDiverged(RuntimeError):
-    """Raised when a loss turns non-finite; carries the partial loss log."""
+    """Raised when a loss turns non-finite or blows up; carries the partial loss log."""
 
     def __init__(self, message, losses):
         super().__init__(message)
@@ -74,17 +79,24 @@ def fit(net: Net, step, iterations: int, seed: int, adam: AdamState,
 
     Iteration k takes ``(loss, grad) = step(Rng(seed, stream=1 + k))``, an
     Adam step on the clipped grad, then the optional EMA update.  A
-    RuntimeError becomes TrainingDiverged carrying the losses so far.
-    Overflow warnings are silenced: the loss and gradient checks turn any
-    non-finite value that reaches them into that error.
+    RuntimeError becomes TrainingDiverged carrying the losses so far, and so
+    does a finite blow-up: a loss above ``DIVERGENCE_FACTOR`` times the first
+    one, when that is positive.  Overflow warnings are silenced: the loss
+    and gradient checks turn any non-finite value that reaches them into
+    that error.  The loop runs inside one ``net.buffer_pool`` block, so the
+    network's work arrays are allocated in the first iterations and reused
+    after that; the losses and parameters have the same bits as without it.
     """
     adam.for_net(net)
     losses = []
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), nets.buffer_pool():
         for it in range(iterations):
             try:
                 loss, grad = step(Rng(seed, stream=1 + it))
                 losses.append(loss)
+                if losses[0] > 0.0 and loss > DIVERGENCE_FACTOR * losses[0]:
+                    raise RuntimeError(f"loss {loss:.6g} exceeds {DIVERGENCE_FACTOR:g} times "
+                                       f"the first loss {losses[0]:.6g}")
                 nets.adam_step(adam, net, clip_gradient(grad, clip_grad_norm))
                 if ema is not None:
                     nets.ema_update(ema, net, ema_rate)

@@ -268,3 +268,18 @@ def test_negative_learning_rate_fails_with_one_line(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "velocity.lr must be finite and > 0" in lines[0], proc.stderr
     assert not os.path.exists(os.path.join(out, "field.ckpt"))
+
+
+def test_finite_loss_blow_up_fails_with_one_line(tmp_path):
+    # lr = 1e6 took the loss from 2.41 to 1.99e38 at iteration 1, yet the run exited 0
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(TINY_PIPELINE.replace("iterations = 80", "iterations = 80\nlr = 1e6"))
+    out = str(tmp_path / "out")
+    assert _run(str(cfg), out, "gen-data") == 0
+    proc = _cli(cfg, out, "train-velocity")
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: train-velocity diverged at iteration 1: loss ")
+    assert "exceeds 1e+06 times the first loss" in lines[0]
+    assert not os.path.exists(os.path.join(out, "field.ckpt"))

@@ -1,10 +1,12 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from charflow import net as nets
-from charflow.net import (AdamState, Net, NetSpec, adam_step, ema_update, forward_batch,
-                          grad_batch, lipschitz_bound, load_net, net_init, save_net,
-                          time_features)
+from charflow.net import (AdamState, Net, NetSpec, adam_step, buffer_pool, ema_update,
+                          forward_batch, grad_batch, lipschitz_bound, load_net, net_init,
+                          save_net, time_features)
 from charflow.rng import Rng
 from charflow.sampler import TimeGrid, TrajectoryBatch, load_trajectories, save_trajectories
 
@@ -335,3 +337,127 @@ def test_forward_leaves_its_input_untouched():
     before = X.copy()
     forward_batch(net_init(spec, 0), X)
     assert np.array_equal(X, before)
+
+
+# forward_batch / grad_batch / adam_step / ema_update as they were before the
+# buffer pool: every intermediate a fresh array, the gradient concatenated
+def _alloc_forward(net, X):
+    layers = nets._unpack(net)
+    silu = net.spec.activation == "silu"
+    h = X
+    pre, post, sigs = [], [X], []
+    for w, b in layers[:-1]:
+        z = h @ w.T
+        z += b
+        sig = 1.0 / (1.0 + np.exp(-z)) if silu else None
+        h = z * sig if silu else np.maximum(z, 0.0)
+        pre.append(z)
+        post.append(h)
+        sigs.append(sig)
+    w, b = layers[-1]
+    out = h @ w.T
+    out += b
+    return out, (pre, post, sigs)
+
+
+def _alloc_grad(net, X, upstream):
+    layers = nets._unpack(net)
+    _, (pre, post, sigs) = _alloc_forward(net, X)
+    grads = [None] * len(layers)
+    delta = upstream
+    for i in range(len(layers) - 1, -1, -1):
+        w, _ = layers[i]
+        grads[i] = (delta.T @ post[i], delta.sum(axis=0))
+        delta = delta @ w
+        if i > 0:
+            z, sig = pre[i - 1], sigs[i - 1]
+            act = (z > 0.0).astype(np.float64) if sig is None else sig * (1.0 + z * (1.0 - sig))
+            delta = delta * act
+    return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads]), delta
+
+
+def _alloc_adam(state, params, grad):
+    state.step += 1
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+    mhat = state.m / (1.0 - state.beta1**state.step)
+    vhat = state.v / (1.0 - state.beta2**state.step)
+    return params - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+
+
+def _alloc_ema(ema_params, live_params, rate):
+    return ema_params * rate + (1.0 - rate) * live_params
+
+
+# (16, 2): a hidden width equal to the output width, so a pooled output would be reused
+POOL_LAYOUTS = [(), (7,), (16, 2), (64, 64), (64, 32, 64)]
+
+
+def _noisy_net(hidden, activation):
+    spec = NetSpec(3, hidden, 2, activation=activation)
+    net = net_init(spec, 4)
+    net.params += 0.3 * Rng(5).normal((spec.param_count,))   # nonzero biases
+    return net
+
+
+@pytest.mark.parametrize("scoped", [True, False], ids=["in-pool", "no-pool"])
+@pytest.mark.parametrize("activation", ["relu", "silu"])
+@pytest.mark.parametrize("hidden", POOL_LAYOUTS)
+def test_pooled_passes_bitwise_equal_the_allocating_reference(hidden, activation, scoped):
+    net = _noisy_net(hidden, activation)
+    results = []
+    with buffer_pool() if scoped else contextlib.nullcontext():
+        # the repeats recycle the first call's buffers; 5 and 64 rows change every shape
+        for call, m in enumerate((37, 37, 5, 37, 64, 5)):
+            X = 3.0 * Rng(10 + call).normal((m, 3))
+            upstream = Rng(30 + call).normal((m, 2))
+            ref_out, _ = _alloc_forward(net, X)
+            ref_pg, ref_ig = _alloc_grad(net, X, upstream)
+            out, cache = forward_batch(net, X, want_cache=True)
+            got = [forward_batch(net, X), out, *grad_batch(net, X, upstream, cache=cache),
+                   *grad_batch(net, X, upstream)]
+            want = [ref_out, ref_out, ref_pg, ref_ig, ref_pg, ref_ig]
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            results.append((got, want))
+    # no returned array is a pool buffer that a later call overwrote
+    for got, want in results:
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert nets._POOL.get() is None
+
+
+@pytest.mark.parametrize("scoped", [True, False], ids=["in-pool", "no-pool"])
+def test_adam_and_ema_update_in_place_with_the_reference_bits(scoped):
+    live, ema = _noisy_net((16, 8), "silu"), _noisy_net((16, 8), "silu")
+    ema.params *= 0.5
+    state = AdamState(lr=3e-3).for_net(live)
+    ref = AdamState(lr=3e-3).for_net(live)
+    ref_params, ref_ema = live.params.copy(), ema.params.copy()
+    m_array = state.m
+    with buffer_pool() if scoped else contextlib.nullcontext():
+        for k in range(25):
+            grad = Rng(40 + k).normal(live.params.shape) * (10.0 if k % 7 == 0 else 1.0)
+            adam_step(state, live, grad)
+            ema_update(ema, live, 0.9)
+            ref_params = _alloc_adam(ref, ref_params, grad)
+            ref_ema = _alloc_ema(ref_ema, ref_params, 0.9)
+            assert live.params.tobytes() == ref_params.tobytes()
+            assert ema.params.tobytes() == ref_ema.tobytes()
+            assert state.m.tobytes() == ref.m.tobytes() and state.v.tobytes() == ref.v.tobytes()
+    assert state.m is m_array   # the moments are updated in place
+
+
+def test_a_spent_cache_is_refused_inside_a_pool_and_reusable_outside():
+    net = _noisy_net((8, 8), "silu")
+    X, upstream = Rng(1).normal((6, 3)), Rng(2).normal((6, 2))
+    with buffer_pool():
+        _, cache = forward_batch(net, X, want_cache=True)
+        first = grad_batch(net, X, upstream, cache=cache)
+        with pytest.raises(ValueError, match="already spent"):
+            grad_batch(net, X, upstream, cache=cache)
+        with buffer_pool():   # a nested block shares the outer pool
+            assert nets._POOL.get() is not None
+    assert nets._POOL.get() is None
+    _, cache = forward_batch(net, X, want_cache=True)
+    for _ in range(2):
+        again = grad_batch(net, X, upstream, cache=cache)
+        assert [a.tobytes() for a in again] == [f.tobytes() for f in first]

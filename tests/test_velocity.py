@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from charflow import net as nets
-from charflow.net import Net, NetSpec, net_init
+from charflow.net import AdamState, Net, NetSpec, net_init
 from charflow.oracle import OracleContext, denoiser_exact, velocity_exact
 from charflow.rng import Rng
 from charflow.schedule import Schedule, denoiser_coeffs
 from charflow.target import atomic_mixture, sample_target
-from charflow.velocity import (InterpolantBatch, TrainConfig, TrainingDiverged, clip_gradient,
-                               denoiser_loss, draw_batch, estimate_sigma_data, make_denoiser,
-                               make_velocity, residual_loss, train, velocity_from_denoiser,
-                               velocity_loss)
+from charflow.velocity import (DIVERGENCE_FACTOR, InterpolantBatch, TrainConfig,
+                               TrainingDiverged, clip_gradient, denoiser_loss, draw_batch,
+                               estimate_sigma_data, fit, make_denoiser, make_velocity,
+                               residual_loss, train, velocity_from_denoiser, velocity_loss)
 
 LINEAR = Schedule("linear")
 FOLLMER = Schedule("follmer")
@@ -186,6 +186,24 @@ class TestTrain:
             train(config, bad)
         assert isinstance(info.value.losses, list)
         assert len(info.value.losses) < 50
+
+    @staticmethod
+    def _fit_losses(losses):
+        net = net_init(NetSpec(2, (3,), 1), 0)
+        feed = iter(losses)
+        return fit(net, lambda rng: (next(feed), np.zeros_like(net.params)), len(losses), 0,
+                   AdamState())
+
+    def test_a_finite_blow_up_is_a_divergence(self):
+        first = 2.0
+        losses = [first, 0.5, DIVERGENCE_FACTOR * first, 2.0 * DIVERGENCE_FACTOR * first, 1.0]
+        with pytest.raises(TrainingDiverged) as info:
+            self._fit_losses(losses)
+        assert str(info.value) == "iteration 3: loss 4e+06 exceeds 1e+06 times the first loss 2"
+        assert info.value.losses == losses[:4]
+
+    def test_no_blow_up_check_after_a_zero_first_loss(self):
+        assert self._fit_losses([0.0, 1e300, 5.0]) == [0.0, 1e300, 5.0]
 
     def test_gradient_clipping(self):
         g = np.array([3.0, 4.0])
