@@ -25,8 +25,10 @@ and the iteration; no checkpoint is written) and a sampler whose state turns
 non-finite (the line names the command and the step).
 
 A command pays for what it uses: scipy is loaded only by an exact W2 in
-two or more dimensions (``eval`` and ``verify``), and the training and
-sampling loops reuse the network's work arrays (``net.buffer_pool``).
+two or more dimensions (``eval`` and ``verify``), the training and
+sampling loops reuse the network's work arrays (``net.buffer_pool``), and
+the Euler/EI ``sample`` keeps only the current (n, d) state, not the
+trajectory (``train-cg`` keeps that, as its regression corpus).
 """
 
 from __future__ import annotations
@@ -233,12 +235,12 @@ def cmd_sample(cfg: RunConfig, out: str) -> int:
         grid = sampler.TimeGrid(stop_time=extra["stop_time"], steps=smp["steps"])
         dim = field_net.spec.output_dim
         if smp["sampler"] == "euler":
-            batch = sampler.push_samples("euler", field, n, dim, grid, seed)
+            points = sampler.sample_endpoints("euler", field, n, dim, grid, seed)
         else:
             if denoiser is None:
                 raise ValueError("ei sampling needs a denoiser field")
-            batch = sampler.push_samples("ei", denoiser, n, dim, grid, seed, schedule=schedule)
-        points = batch.endpoints()
+            points = sampler.sample_endpoints("ei", denoiser, n, dim, grid, seed,
+                                              schedule=schedule)
         nfe = grid.steps
     save_points(os.path.join(out, "samples.csv"), points, prov)
     reports.append(MetricReport(name="nfe", value=float(nfe), sample_sizes=(n,), seed=seed))

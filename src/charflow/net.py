@@ -411,14 +411,19 @@ def lipschitz_bound(net: Net, n_iter: int = 64, seed: int = 0) -> float:
 
 
 def write_frame(path, magic: bytes, provenance: str, header: dict, body: np.ndarray):
-    """Binary frame: magic, provenance line, length-prefixed JSON header, <f8 body."""
+    """Binary frame: magic, provenance line, length-prefixed JSON header, <f8 body.
+
+    A body that is already C-contiguous little-endian float64 is written
+    from its own memory, without a copy.
+    """
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = np.ascontiguousarray(body, dtype="<f8")
     with atomic_open(path, "wb") as fh:
         fh.write(magic)
         fh.write(f"# {provenance}\n".encode("utf-8"))
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
-        fh.write(body.astype("<f8").tobytes())
+        fh.write(body.data)
 
 
 def read_frame(path, magic: bytes, kind: str, body_count):

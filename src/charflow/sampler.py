@@ -3,10 +3,13 @@
 Forward Euler steps ``x <- x + tau * b(t, x)``; the exponential integrator
 exploits the semi-linear form of the denoiser-driven ODE and steps
 ``x <- phi(t, t') x + psi(t, t') D(t, x)``, which is exact whenever the
-denoiser is frozen over the step.  Both produce full trajectories on a
-uniform grid; ``push_samples`` integrates a batch of prior draws and stores
-all intermediate states, which is the training corpus for characteristic
-regression.
+denoiser is frozen over the step.  Both run on a uniform grid through one
+integrator that keeps a state only when asked to.  ``push_samples``
+integrates a batch of prior draws and keeps every intermediate state, the
+training corpus for characteristic regression.  ``sample_endpoints``
+integrates the same draws with the same steps but streams: it holds only
+the current (m, d) state, so ``charflow sample`` pays for its points and not
+for K+1 copies of them.
 
 Trajectory files use the checkpoints' binary frame (``net.write_frame``):
 magic, provenance line, JSON header (m, K, d, T, schedule kind, seed), then
@@ -32,6 +35,7 @@ __all__ = [
     "euler_flow",
     "ei_flow",
     "push_samples",
+    "sample_endpoints",
     "save_trajectories",
     "load_trajectories",
 ]
@@ -93,23 +97,48 @@ class TrajectoryBatch:
         return self.states[:, -1, :]
 
 
-def _integrate(step_fn, x0, grid: TimeGrid):
-    """States of ``X <- step_fn(t_k, t_k+1, X)`` on every node of the grid, (K+1, m, d).
+def _integrate(step_fn, x0, grid: TimeGrid, record=None) -> np.ndarray:
+    """Endpoint of ``X <- step_fn(t_k, t_k+1, X)`` over the grid, (m, d).
 
+    Only the current (m, d) state is kept, unless ``record`` is given: an
+    array indexed by node, whose ``record[k]`` receives the state at t_k.
     The steps run inside one ``net.buffer_pool`` block, so a network field
     reuses its work arrays from step to step.  Overflow warnings are
     silenced: a non-finite state raises NonFiniteState naming the step.
     """
     X = as_points(x0, "x0")
     nodes = grid.nodes
-    out = np.empty((grid.steps + 1, X.shape[0], X.shape[1]))
-    out[0] = X
+    if record is not None:
+        record[0] = X
     with np.errstate(over="ignore", invalid="ignore"), buffer_pool():
         for k in range(grid.steps):
             X = step_fn(nodes[k], nodes[k + 1], X)
             if not np.all(np.isfinite(X)):
                 raise NonFiniteState(f"non-finite state at step {k + 1} (t = {nodes[k + 1]:.6f})")
-            out[k + 1] = X
+            if record is not None:
+                record[k + 1] = X
+    return X
+
+
+def _euler_step(velocity):
+    def step(t, t_next, X):
+        return X + (t_next - t) * velocity(t, X)
+
+    return step
+
+
+def _ei_step(denoiser, schedule: Schedule):
+    def step(t, t_next, X):
+        phi, psi = schedule.ei_coeffs(t, t_next)
+        return phi * X + psi * denoiser(t, X)
+
+    return step
+
+
+def _trajectory(step_fn, x0, grid: TimeGrid) -> np.ndarray:
+    X = as_points(x0, "x0")
+    out = np.empty((grid.steps + 1,) + X.shape)
+    _integrate(step_fn, X, grid, record=out)
     return out
 
 
@@ -118,44 +147,57 @@ def euler_flow(velocity, x0, grid: TimeGrid) -> np.ndarray:
 
     Returns the states on every grid node, shaped (K+1, m, d).
     """
-
-    def step(t, t_next, X):
-        return X + (t_next - t) * velocity(t, X)
-
-    return _integrate(step, x0, grid)
+    return _trajectory(_euler_step(velocity), x0, grid)
 
 
 def ei_flow(denoiser, schedule: Schedule, x0, grid: TimeGrid) -> np.ndarray:
     """First-order exponential-integrator trajectory from x0 (m, d); (K+1, m, d)."""
-
-    def step(t, t_next, X):
-        phi, psi = schedule.ei_coeffs(t, t_next)
-        return phi * X + psi * denoiser(t, X)
-
-    return _integrate(step, x0, grid)
+    return _trajectory(_ei_step(denoiser, schedule), x0, grid)
 
 
 def push_samples(method: str, field, m: int, dim: int, grid: TimeGrid, seed: int,
-                 schedule: Schedule | None = None) -> TrajectoryBatch:
-    """Integrate m prior draws N(0, I_dim) and keep the full trajectories.
+                 schedule: Schedule | None = None, *, keep_trajectories: bool = True):
+    """Integrate m prior draws N(0, I_dim) over the grid.
 
     ``method`` is "euler" (field = velocity callable) or "ei" (field =
     denoiser callable; requires the schedule).  Particle i's prior draw
     comes from substream i of the seed, so any particle subset is
     reproducible in isolation (``rng.stream_normals`` draws them all at once).
+
+    Trajectories are kept only for the regression corpus: by default the
+    result is a TrajectoryBatch whose states are recorded straight into
+    their file layout, a C-contiguous (m, K+1, d) array.  With
+    ``keep_trajectories=False`` the integration streams and returns the
+    (m, dim) endpoints (see ``sample_endpoints``).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    x0 = stream_normals(seed, m, dim)
     if method == "euler":
-        states = euler_flow(field, x0, grid)
+        step = _euler_step(field)
     elif method == "ei":
         if schedule is None:
             raise ValueError("ei sampling requires a schedule")
-        states = ei_flow(field, schedule, x0, grid)
+        step = _ei_step(field, schedule)
     else:
         raise ValueError(f"unknown sampling method {method!r}")
-    return TrajectoryBatch(grid=grid, states=np.swapaxes(states, 0, 1), seed=seed)
+    x0 = stream_normals(seed, m, dim)
+    if not keep_trajectories:
+        return _integrate(step, x0, grid)
+    states = np.empty((m, grid.steps + 1, dim))
+    _integrate(step, x0, grid, record=np.swapaxes(states, 0, 1))
+    return TrajectoryBatch(grid=grid, states=states, seed=seed)
+
+
+def sample_endpoints(method: str, field, m: int, dim: int, grid: TimeGrid, seed: int,
+                     schedule: Schedule | None = None) -> np.ndarray:
+    """The (m, dim) endpoints of ``push_samples`` with the same arguments, bit for bit.
+
+    Streams: memory holds the current (m, dim) state, never the trajectory.
+    It runs through ``push_samples``, so whatever wraps that function (the
+    span and particle-step count of ``bench/tracing.py``) sees this
+    integration too.
+    """
+    return push_samples(method, field, m, dim, grid, seed, schedule, keep_trajectories=False)
 
 
 def save_trajectories(path, batch: TrajectoryBatch, schedule_kind: str = "",

@@ -60,21 +60,29 @@ class Schedule:
         if self.kind not in KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}; expected one of {KINDS}")
 
-    def alpha(self, t):
-        t = _check_time_range(t)
+    # The closed forms below take a t that _check_time_range has already
+    # validated; the public methods check it first, and coeffs checks it once
+    # for all four.
+
+    def _alpha(self, t):
         return 1.0 - t if self.kind == "linear" else np.sqrt(1.0 - t * t)
+
+    def _dalpha(self, t):
+        if self.kind == "linear":
+            return np.full_like(t, -1.0)
+        if np.any(t >= 1.0):
+            raise ValueError("follmer dalpha is singular at t = 1")
+        return -t / np.sqrt(1.0 - t * t)
+
+    def alpha(self, t):
+        return self._alpha(_check_time_range(t))
 
     def beta(self, t):
         t = _check_time_range(t)
         return t + 0.0
 
     def dalpha(self, t):
-        t = _check_time_range(t)
-        if self.kind == "linear":
-            return np.full_like(t, -1.0)
-        if np.any(t >= 1.0):
-            raise ValueError("follmer dalpha is singular at t = 1")
-        return -t / np.sqrt(1.0 - t * t)
+        return self._dalpha(_check_time_range(t))
 
     def dbeta(self, t):
         t = _check_time_range(t)
@@ -82,7 +90,8 @@ class Schedule:
 
     def coeffs(self, t):
         """(alpha, beta, dalpha, dbeta) at time t."""
-        return self.alpha(t), self.beta(t), self.dalpha(t), self.dbeta(t)
+        t = _check_time_range(t)
+        return self._alpha(t), t + 0.0, self._dalpha(t), np.ones_like(t)
 
     def dlog_alpha(self, t):
         """dalpha/alpha in closed form (finite on [0, 1))."""
@@ -158,7 +167,7 @@ def denoiser_coeffs(schedule: Schedule, t, sigma_data: float):
     if sigma_data <= 0:
         raise ValueError("sigma_data must be positive")
     t = _check_time_range(t)
-    a, b = schedule.alpha(t), schedule.beta(t)
+    a, b = schedule._alpha(t), t + 0.0
     if np.any(a == 0.0):
         raise ValueError("denoiser coefficients are singular where alpha = 0 (t = 1)")
     sd2 = sigma_data * sigma_data

@@ -283,3 +283,28 @@ def test_finite_loss_blow_up_fails_with_one_line(tmp_path):
     assert lines[0].startswith("error: train-velocity diverged at iteration 1: loss ")
     assert "exceeds 1e+06 times the first loss" in lines[0]
     assert not os.path.exists(os.path.join(out, "field.ckpt"))
+
+
+def test_euler_sample_keeps_no_trajectory(tmp_path):
+    # n = 4096 points in 16-D over 100 steps: the trajectory tensor alone would be
+    # 4096 x 101 x 16 x 8 B = 53 MB (traced peak 60 MB when the sampler kept it,
+    # 4 MB streamed)
+    import tracemalloc
+
+    atoms = ";".join(",".join(str(float(sign * (i == j))) for i in range(16))
+                     for j, sign in ((0, 1), (1, -1)))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[target]\nvariant = atomic\natoms = {atoms}\nsigma = 0.25\nn = 256\n"
+                   "holdout = 64\n\n[velocity]\niterations = 20\nbatch_size = 64\nhidden = 8,8\n\n"
+                   "[sample]\nsampler = euler\nn = 4096\nsteps = 100\n")
+    out = str(tmp_path / "out")
+    for command in ("gen-data", "train-velocity"):
+        assert _run(str(cfg), out, command) == 0
+    tracemalloc.start()
+    try:
+        assert _run(str(cfg), out, "sample") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert load_points(os.path.join(out, "samples.csv")).shape == (4096, 16)
+    assert peak < 16e6, peak

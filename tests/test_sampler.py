@@ -1,12 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
+from charflow import net as nets
 from charflow.oracle import OracleContext, denoiser_exact, flow_exact, velocity_exact
 from charflow.rng import Rng
-from charflow.sampler import (TimeGrid, TrajectoryBatch, ei_flow, euler_flow,
-                              load_trajectories, push_samples, save_trajectories)
+from charflow.rng import stream_normals
+from charflow.sampler import (TRAJECTORY_MAGIC, NonFiniteState, TimeGrid, TrajectoryBatch,
+                              ei_flow, euler_flow, load_trajectories, push_samples,
+                              sample_endpoints, save_trajectories)
 from charflow.schedule import Schedule
 from charflow.target import atomic_mixture
+from charflow.velocity import make_denoiser, make_velocity
 from charflow.verify import check_gaussian_marginal
 
 LINEAR = Schedule("linear")
@@ -169,3 +175,81 @@ def test_trajectory_batch_validation():
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         TrajectoryBatch(grid=grid, states=bad, seed=0)
+
+
+def _net_field(method, dim):
+    """A small SiLU network as the Euler velocity or the EI denoiser of dimension dim."""
+    spec = nets.NetSpec(1 + dim, (8, 8), dim, activation="silu")
+    net = nets.net_init(spec, seed=dim)
+    net.params *= 2.0  # a field that moves the particles visibly
+    if method == "euler":
+        return make_velocity(net), None
+    return make_denoiser(net, FOLLMER, 0.7), FOLLMER
+
+
+def _reference_push(method, field, m, dim, grid, seed, schedule):
+    """The trajectory tensor as the recording integrator built it before streaming, (K+1, m, d)."""
+    X = stream_normals(seed, m, dim)
+    nodes = grid.nodes
+    out = np.empty((grid.steps + 1, m, dim))
+    out[0] = X
+    with nets.buffer_pool():
+        for k in range(grid.steps):
+            t, t_next = nodes[k], nodes[k + 1]
+            if method == "euler":
+                X = X + (t_next - t) * field(t, X)
+            else:
+                phi, psi = schedule.ei_coeffs(t, t_next)
+                X = phi * X + psi * field(t, X)
+            out[k + 1] = X
+    return out
+
+
+class TestStreamedEndpoints:
+    @pytest.mark.parametrize("method", ["euler", "ei"])
+    @pytest.mark.parametrize("dim", [1, 2, 16])
+    @pytest.mark.parametrize("m", [1, 5, 4097])
+    def test_bitwise_equal_to_kept_trajectories(self, method, dim, m):
+        field, schedule = _net_field(method, dim)
+        grid = TimeGrid(0.95, 7)
+        batch = push_samples(method, field, m, dim, grid, seed=12, schedule=schedule)
+        ends = sample_endpoints(method, field, m, dim, grid, seed=12, schedule=schedule)
+        assert ends.shape == (m, dim)
+        assert ends.tobytes() == np.ascontiguousarray(batch.endpoints()).tobytes()
+        reference = _reference_push(method, field, m, dim, grid, 12, schedule)
+        assert ends.tobytes() == reference[-1].tobytes()
+
+    @pytest.mark.parametrize("method", ["euler", "ei"])
+    def test_non_finite_state_names_the_step(self, method):
+        def blows_up_at_third_step(t, X):
+            return np.full_like(X, np.inf if t > 0.3 else 0.1)
+
+        with pytest.raises(NonFiniteState, match=r"step 3 \(t = 0\.600000\)"):
+            sample_endpoints(method, blows_up_at_third_step, 4, 2, TimeGrid(0.8, 4), seed=1,
+                             schedule=FOLLMER)
+
+    def test_validation_matches_push_samples(self):
+        for kwargs in ({"method": "ei"}, {"method": "heun"}, {"method": "euler", "m": 0}):
+            args = {"method": "euler", "field": lambda t, X: X, "m": 2, "dim": 1,
+                    "grid": TimeGrid(0.9, 4), "seed": 0, **kwargs}
+            with pytest.raises(ValueError):
+                sample_endpoints(**args)
+            with pytest.raises(ValueError):
+                push_samples(**args)
+
+
+@pytest.mark.parametrize("method", ["euler", "ei"])
+def test_corpus_is_stored_in_its_file_layout(tmp_path, method):
+    field, schedule = _net_field(method, 3)
+    grid = TimeGrid(0.9, 6)
+    batch = push_samples(method, field, 9, 3, grid, seed=4, schedule=schedule)
+    assert batch.states.shape == (9, 7, 3) and batch.states.flags.c_contiguous
+    reference = np.swapaxes(_reference_push(method, field, 9, 3, grid, 4, schedule), 0, 1)
+    assert batch.states.tobytes() == reference.tobytes()
+    path = tmp_path / "traj.bin"
+    save_trajectories(path, batch, "follmer", provenance="charflow test")
+    header = json.dumps({"m": 9, "K": 6, "d": 3, "T": 0.9, "schedule": "follmer", "seed": 4},
+                        sort_keys=True).encode("utf-8")
+    old_writer = (TRAJECTORY_MAGIC + b"# charflow test\n" + len(header).to_bytes(8, "little")
+                  + header + reference.astype("<f8").tobytes())
+    assert path.read_bytes() == old_writer

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from charflow import schedule as schedule_module
 from charflow.rng import Rng
 from charflow.schedule import Schedule, denoiser_coeffs, validate_schedule
 
@@ -38,6 +39,49 @@ class TestCoeffs:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             Schedule("cosine")
+
+
+def _count_time_checks(monkeypatch):
+    calls = []
+    check = schedule_module._check_time_range
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(schedule_module, "_check_time_range", counted)
+    return calls
+
+
+@pytest.mark.parametrize("schedule", [LINEAR, FOLLMER], ids=["linear", "follmer"])
+def test_coefficient_sets_check_time_once_with_the_same_bits(schedule, monkeypatch):
+    t = np.concatenate([[0.0, 0.5], Rng(2).uniform(64) * 0.999])
+    # references from the one-coefficient methods, each with its own check
+    singles = (schedule.alpha(t), schedule.beta(t), schedule.dalpha(t), schedule.dbeta(t))
+    a, b, sd = schedule.alpha(t), schedule.beta(t), 0.7
+    var = a * a + b * b * (sd * sd)
+    by_formula = (1.0 / np.sqrt(var), b * (sd * sd) / var, a * sd / np.sqrt(var), t + 0.0,
+                  var / (a * a * (sd * sd)))
+    calls = _count_time_checks(monkeypatch)
+    got = schedule.coeffs(t)
+    assert len(calls) == 1
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in singles]
+    den = denoiser_coeffs(schedule, t, sd)
+    assert len(calls) == 2
+    assert [x.tobytes() for x in den] == [x.tobytes() for x in by_formula]
+
+
+def test_coefficient_sets_keep_their_error_messages():
+    with pytest.raises(ValueError, match=r"t must lie in \[0.0, 1.0\]"):
+        LINEAR.coeffs(np.array([0.5, 1.5]))
+    with pytest.raises(ValueError, match="follmer dalpha is singular at t = 1"):
+        FOLLMER.coeffs(np.array([0.5, 1.0]))
+    with pytest.raises(ValueError, match="follmer dalpha is singular at t = 1"):
+        FOLLMER.dalpha(1.0)
+    with pytest.raises(ValueError, match=r"t must lie in \[0.0, 1.0\]"):
+        denoiser_coeffs(FOLLMER, -0.5, 0.5)
+    with pytest.raises(ValueError, match="singular where alpha = 0"):
+        denoiser_coeffs(FOLLMER, 1.0, 0.5)
 
 
 def _psi_quadrature(schedule, t, s):
