@@ -33,7 +33,8 @@ Losses accept a StudentNet or a plain callable g; only a StudentNet gets a
 gradient.
 
 Sampling is one evaluation of g(0, T, .) per particle, or a few chained
-evaluations over a node list for fine-grained refinement.
+evaluations over a node list (one-step is the node list (0, T)); both step
+through ``sampler.integrate``, the loop of the Euler and EI samplers.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 from . import net as nets
 from .net import AdamState, Net, NetSpec
 from .rng import Rng
-from .sampler import TrajectoryBatch
+from .sampler import TrajectoryBatch, integrate
 from .schedule import Schedule, denoiser_coeffs
 from .target import as_points
 from .velocity import (InterpolantBatch, denoiser_target, draw_batch, estimate_sigma_data, fit,
@@ -186,15 +187,10 @@ def _eval_g(g, t, s, X):
 
 
 def sample_index_pairs(rng: Rng, count: int, steps: int) -> np.ndarray:
-    """Uniform (k, l) with 0 <= k <= l <= steps-1, via triangle indexing."""
-    total = steps * (steps + 1) // 2
-    j = rng.integers(total, count)
-    ell = ((np.sqrt(8.0 * j + 1.0) - 1.0) / 2.0).astype(np.int64)
-    # float round-off can land one row off the triangle boundary
-    ell = np.where(ell * (ell + 1) // 2 > j, ell - 1, ell)
-    ell = np.where((ell + 1) * (ell + 2) // 2 <= j, ell + 1, ell)
-    k = j - ell * (ell + 1) // 2
-    return np.stack([k, ell], axis=1)
+    """Uniform (k, l) with 0 <= k <= l <= steps-1: entry j of the triangle listed row by row."""
+    ell, k = np.tril_indices(steps)
+    j = rng.integers(ell.shape[0], count)
+    return np.stack([k[j], ell[j]], axis=1)
 
 
 def regression_loss(g, batch: TrajectoryBatch, pairs):
@@ -484,14 +480,17 @@ def _train_practical(config: CgTrainConfig, data, teacher, sigma_data: float):
     return student, losses
 
 
-def one_step(student: StudentNet, m: int, T: float, seed: int) -> np.ndarray:
-    """Draw m prior points and apply g(0, T, .) once."""
+def _push(student: StudentNet, nodes, m: int, seed: int) -> np.ndarray:
+    """Chain g over the nodes from m prior draws, through ``sampler.integrate``."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m == 0:
-        return np.empty((0, student.dim))
     z0 = Rng(seed).normal((m, student.dim))
-    return g_apply(student, 0.0, T, z0)
+    return integrate(lambda t, s, Z: g_apply(student, t, s, Z), z0, nodes)
+
+
+def one_step(student: StudentNet, m: int, T: float, seed: int) -> np.ndarray:
+    """Draw m prior points and apply g(0, T, .) once."""
+    return _push(student, (0.0, T), m, seed)
 
 
 def multi_step(student: StudentNet, nodes, m: int, seed: int) -> np.ndarray:
@@ -505,9 +504,4 @@ def multi_step(student: StudentNet, nodes, m: int, seed: int) -> np.ndarray:
         raise ValueError("nodes must be strictly increasing")
     if abs(nodes[-1] - student.stop_time) > 1e-12:
         raise ValueError("nodes must end at the student's stop time")
-    if m == 0:
-        return np.empty((0, student.dim))
-    Z = Rng(seed).normal((m, student.dim))
-    for k in range(nodes.shape[0] - 1):
-        Z = g_apply(student, nodes[k], nodes[k + 1], Z)
-    return Z
+    return _push(student, nodes, m, seed)

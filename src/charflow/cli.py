@@ -17,12 +17,14 @@ the same effective config produce bit-identical outputs.
 
 A bad run exits 2 with one ``error:`` line on stderr, never a traceback: a
 bad config (a float key out of its range included), a missing or damaged
-input (a point file with no rows included), a checkpoint whose output dimension
-differs from the config's target (refused before the command writes its
-outputs), a training run that diverges (a non-finite loss, or a loss above
-``velocity.DIVERGENCE_FACTOR`` times the first; the line names the command
-and the iteration; no checkpoint is written) and a sampler whose state turns
-non-finite (the line names the command and the step).
+input (a point file with no rows or a non-finite coordinate included), a
+checkpoint whose output dimension differs from the config's target (refused
+before the command writes its outputs), a training run that diverges (a
+non-finite loss, or a loss above ``velocity.DIVERGENCE_FACTOR`` times the
+first; the line names the command and the iteration; no checkpoint is
+written) and a sampler whose state turns non-finite (every sampler,
+one-step and multi-step included, steps through ``sampler.integrate``; the
+line names the command and the step; no ``samples.csv`` is written).
 
 A command pays for what it uses: scipy is loaded only by an exact W2 in
 two or more dimensions (``eval`` and ``verify``), the training and
@@ -235,12 +237,13 @@ def cmd_sample(cfg: RunConfig, out: str) -> int:
         grid = sampler.TimeGrid(stop_time=extra["stop_time"], steps=smp["steps"])
         dim = field_net.spec.output_dim
         if smp["sampler"] == "euler":
-            points = sampler.sample_endpoints("euler", field, n, dim, grid, seed)
+            points = sampler.push_samples("euler", field, n, dim, grid, seed,
+                                          keep_trajectories=False)
         else:
             if denoiser is None:
                 raise ValueError("ei sampling needs a denoiser field")
-            points = sampler.sample_endpoints("ei", denoiser, n, dim, grid, seed,
-                                              schedule=schedule)
+            points = sampler.push_samples("ei", denoiser, n, dim, grid, seed, schedule=schedule,
+                                          keep_trajectories=False)
         nfe = grid.steps
     save_points(os.path.join(out, "samples.csv"), points, prov)
     reports.append(MetricReport(name="nfe", value=float(nfe), sample_sizes=(n,), seed=seed))

@@ -3,13 +3,13 @@
 Forward Euler steps ``x <- x + tau * b(t, x)``; the exponential integrator
 exploits the semi-linear form of the denoiser-driven ODE and steps
 ``x <- phi(t, t') x + psi(t, t') D(t, x)``, which is exact whenever the
-denoiser is frozen over the step.  Both run on a uniform grid through one
-integrator that keeps a state only when asked to.  ``push_samples``
-integrates a batch of prior draws and keeps every intermediate state, the
-training corpus for characteristic regression.  ``sample_endpoints``
-integrates the same draws with the same steps but streams: it holds only
-the current (m, d) state, so ``charflow sample`` pays for its points and not
-for K+1 copies of them.
+denoiser is frozen over the step.  Both run through ``integrate``, the one
+stepping loop of the package (the one-step and multi-step generator samplers
+of ``cgen`` run through it too), which keeps a state only when asked to.
+``push_samples`` integrates a batch of prior draws and keeps every
+intermediate state, the training corpus for characteristic regression; with
+``keep_trajectories=False`` it streams and holds only the current (m, d)
+state, so ``charflow sample`` pays for its points and not for K+1 copies.
 
 Trajectory files use the checkpoints' binary frame (``net.write_frame``):
 magic, provenance line, JSON header (m, K, d, T, schedule kind, seed), then
@@ -35,7 +35,7 @@ __all__ = [
     "euler_flow",
     "ei_flow",
     "push_samples",
-    "sample_endpoints",
+    "integrate",
     "save_trajectories",
     "load_trajectories",
 ]
@@ -97,21 +97,21 @@ class TrajectoryBatch:
         return self.states[:, -1, :]
 
 
-def _integrate(step_fn, x0, grid: TimeGrid, record=None) -> np.ndarray:
-    """Endpoint of ``X <- step_fn(t_k, t_k+1, X)`` over the grid, (m, d).
+def integrate(step_fn, x0, nodes, record=None) -> np.ndarray:
+    """Endpoint of ``X <- step_fn(nodes[k], nodes[k+1], X)`` from x0 (m, d), (m, d).
 
-    Only the current (m, d) state is kept, unless ``record`` is given: an
-    array indexed by node, whose ``record[k]`` receives the state at t_k.
-    The steps run inside one ``net.buffer_pool`` block, so a network field
-    reuses its work arrays from step to step.  Overflow warnings are
-    silenced: a non-finite state raises NonFiniteState naming the step.
+    ``nodes`` is any increasing time sequence.  Only the current (m, d) state
+    is kept, unless ``record`` is given: an array indexed by node, whose
+    ``record[k]`` receives the state at nodes[k].  The steps run inside one
+    ``net.buffer_pool`` block, so a network field reuses its work arrays from
+    step to step.  Overflow warnings are silenced: a non-finite state raises
+    NonFiniteState naming the step.
     """
     X = as_points(x0, "x0")
-    nodes = grid.nodes
     if record is not None:
         record[0] = X
     with np.errstate(over="ignore", invalid="ignore"), buffer_pool():
-        for k in range(grid.steps):
+        for k in range(len(nodes) - 1):
             X = step_fn(nodes[k], nodes[k + 1], X)
             if not np.all(np.isfinite(X)):
                 raise NonFiniteState(f"non-finite state at step {k + 1} (t = {nodes[k + 1]:.6f})")
@@ -138,7 +138,7 @@ def _ei_step(denoiser, schedule: Schedule):
 def _trajectory(step_fn, x0, grid: TimeGrid) -> np.ndarray:
     X = as_points(x0, "x0")
     out = np.empty((grid.steps + 1,) + X.shape)
-    _integrate(step_fn, X, grid, record=out)
+    integrate(step_fn, X, grid.nodes, record=out)
     return out
 
 
@@ -182,22 +182,10 @@ def push_samples(method: str, field, m: int, dim: int, grid: TimeGrid, seed: int
         raise ValueError(f"unknown sampling method {method!r}")
     x0 = stream_normals(seed, m, dim)
     if not keep_trajectories:
-        return _integrate(step, x0, grid)
+        return integrate(step, x0, grid.nodes)
     states = np.empty((m, grid.steps + 1, dim))
-    _integrate(step, x0, grid, record=np.swapaxes(states, 0, 1))
+    integrate(step, x0, grid.nodes, record=np.swapaxes(states, 0, 1))
     return TrajectoryBatch(grid=grid, states=states, seed=seed)
-
-
-def sample_endpoints(method: str, field, m: int, dim: int, grid: TimeGrid, seed: int,
-                     schedule: Schedule | None = None) -> np.ndarray:
-    """The (m, dim) endpoints of ``push_samples`` with the same arguments, bit for bit.
-
-    Streams: memory holds the current (m, dim) state, never the trajectory.
-    It runs through ``push_samples``, so whatever wraps that function (the
-    span and particle-step count of ``bench/tracing.py``) sees this
-    integration too.
-    """
-    return push_samples(method, field, m, dim, grid, seed, schedule, keep_trajectories=False)
 
 
 def save_trajectories(path, batch: TrajectoryBatch, schedule_kind: str = "",

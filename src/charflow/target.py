@@ -10,7 +10,8 @@ rescale 1/(1 + 4*noise) so the support sits inside [-1, 1]^2.
 Every point set is an (m, d) array, checked by ``as_points``.  Point sets
 serialize to CSV with one leading provenance comment line, then a header
 ``x0,...,x{d-1}``, one row per point; a row of the wrong width, a field that
-is not a number or a file without rows fails to load naming the file.
+is not a number, a coordinate that is not finite or a file without rows fails
+to load naming the file.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "TargetSpec",
     "as_points",
     "atomic_mixture",
-    "embedded_mixture",
     "swiss_roll",
     "embed_target",
     "sample_target",
@@ -121,10 +121,6 @@ def atomic_mixture(atoms, sigma, weights=None) -> TargetSpec:
     return TargetSpec(variant="atomic", atoms=atoms, weights=weights, sigma=sigma)
 
 
-def embedded_mixture(atoms, sigma, frame, weights=None) -> TargetSpec:
-    return TargetSpec(variant="embedded", atoms=atoms, weights=weights, sigma=sigma, frame=frame)
-
-
 def swiss_roll(noise: float = 0.05) -> TargetSpec:
     return TargetSpec(variant="swiss_roll", swiss_noise=noise)
 
@@ -192,9 +188,9 @@ def save_points(path, points: np.ndarray, provenance: str = "charflow"):
 def load_points(path) -> np.ndarray:
     """Read a point set written by save_points (comments and header skipped).
 
-    Every row must hold as many numbers as the ``x0,...`` header names (the
-    first row's count when there is no header); otherwise one ValueError
-    names the file and the line; a file without rows is refused too.
+    Every row must hold as many finite numbers as the ``x0,...`` header
+    names (the first row's count when there is no header); otherwise one
+    ValueError names the file and the line; a file without rows is refused too.
     """
     rows = []
     width = None
@@ -216,4 +212,17 @@ def load_points(path) -> np.ndarray:
                 raise ValueError(f"{path}, line {lineno}: {len(fields)} fields, expected {width}")
     if not rows:
         raise ValueError(f"{path}: no points (no data rows)")
-    return np.asarray(rows, dtype=np.float64)
+    points = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        lineno = _line_of_row(path, int(np.argmin(finite)))
+        raise ValueError(f"{path}, line {lineno}: a coordinate is not finite")
+    return points
+
+
+def _line_of_row(path, row: int) -> int:
+    """The line number of data row ``row`` (0-based) of a point file, as load_points counts."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = [lineno for lineno, line in enumerate(map(str.strip, fh), 1)
+                if line and not line.startswith(("#", "x0"))]
+    return data[row]

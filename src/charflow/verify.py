@@ -157,8 +157,8 @@ def check_gaussian_marginal(sigma: float = 0.5, T: float = 0.99, K: int = 200,
     spec = atomic_mixture(np.zeros((1, d)), sigma=sigma)
     ctx = OracleContext(spec, Schedule("linear"))
     grid = sampler.TimeGrid(stop_time=T, steps=K)
-    ends = sampler.sample_endpoints("euler", lambda t, X: velocity_exact(ctx, t, X),
-                                    m, d, grid, seed=seed)
+    ends = sampler.push_samples("euler", lambda t, X: velocity_exact(ctx, t, X),
+                                m, d, grid, seed=seed, keep_trajectories=False)
     std = np.std(ends, axis=0)
     target = np.sqrt(Schedule("linear").alpha(T) ** 2 + sigma**2 * Schedule("linear").beta(T) ** 2)
     rel = float(np.max(np.abs(std - target) / target))

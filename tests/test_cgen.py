@@ -8,7 +8,7 @@ from charflow.cgen import (CgTrainConfig, StudentNet, g_apply, global_loss, loca
 from charflow.net import Net, NetSpec, net_init
 from charflow.oracle import OracleContext, denoiser_exact, flow_exact, velocity_exact
 from charflow.rng import Rng
-from charflow.sampler import TimeGrid, push_samples
+from charflow.sampler import NonFiniteState, TimeGrid, push_samples
 from charflow.schedule import Schedule, denoiser_coeffs
 from charflow.target import atomic_mixture, sample_target
 from charflow.velocity import TrainingDiverged, draw_batch
@@ -94,6 +94,30 @@ class TestGApply:
     def test_plain_student_has_no_denoiser_slice(self):
         with pytest.raises(ValueError):
             student_denoiser(_student(plain=True), 0.1, 0.2, np.zeros((1, 1)))
+
+
+def _square_root_index_pairs(j):
+    """The (k, l) of triangle entry j by the float square-root inversion sample_index_pairs used."""
+    ell = ((np.sqrt(8.0 * j + 1.0) - 1.0) / 2.0).astype(np.int64)
+    ell = np.where(ell * (ell + 1) // 2 > j, ell - 1, ell)
+    ell = np.where((ell + 1) * (ell + 2) // 2 <= j, ell + 1, ell)
+    return np.stack([j - ell * (ell + 1) // 2, ell], axis=1)
+
+
+class TestSampleIndexPairs:
+    def test_lookup_matches_the_square_root_inversion_on_every_entry(self):
+        for steps in range(1, 400):
+            ell, k = np.tril_indices(steps)
+            old = _square_root_index_pairs(np.arange(ell.shape[0]))
+            assert np.array_equal(np.stack([k, ell], axis=1), old), steps
+
+    @pytest.mark.parametrize("steps", [1, 2, 12, 48, 399])
+    def test_draws_the_same_pairs(self, steps):
+        pairs = sample_index_pairs(Rng(5), 4096, steps)
+        j = Rng(5).integers(steps * (steps + 1) // 2, 4096)
+        assert np.array_equal(pairs, _square_root_index_pairs(j))
+        assert pairs.dtype == np.int64
+        assert np.all((0 <= pairs[:, 0]) & (pairs[:, 0] <= pairs[:, 1]) & (pairs[:, 1] < steps))
 
 
 class TestRegressionLoss:
@@ -505,6 +529,38 @@ class TestSampling:
         student.eval_count = 0
         one_step(student, 8, 0.9, seed=3)
         assert student.eval_count == 1
+
+    @pytest.mark.parametrize("plain", [False, True])
+    @pytest.mark.parametrize("m", [0, 1, 5, 4097])
+    def test_bitwise_equal_to_the_chained_loop(self, plain, m):
+        # one_step and multi_step as they were before they stepped through
+        # sampler.integrate: g_apply on the prior draws, then a plain chain
+        student = _student(seed=54, d=2, hidden=(16, 16), plain=plain)
+        student.net.params *= 2.0
+        nodes = np.array([0.0, 0.1, 0.45, 0.9])
+        z0 = Rng(7).normal((m, 2))
+        one = g_apply(student, 0.0, 0.9, z0) if m else np.empty((0, 2))
+        multi = z0
+        for k in range(3):
+            multi = g_apply(student, nodes[k], nodes[k + 1], multi) if m else multi
+        got = one_step(student, m, 0.9, seed=7)
+        assert got.shape == (m, 2) and got.tobytes() == one.tobytes()
+        assert multi_step(student, nodes, m, seed=7).tobytes() == multi.tobytes()
+
+    def test_non_finite_sample_names_the_step(self):
+        student = _student(seed=55)
+        student.net.params *= 1e200
+        with pytest.raises(NonFiniteState, match=r"step 1 \(t = 0\.900000\)"):
+            one_step(student, 8, 0.9, seed=0)
+        with pytest.raises(NonFiniteState, match=r"step 1 \(t = 0\.300000\)"):
+            multi_step(student, [0.0, 0.3, 0.6, 0.9], 8, seed=0)
+
+    def test_negative_sample_size_is_refused(self):
+        student = _student(seed=56)
+        with pytest.raises(ValueError, match="nonnegative"):
+            one_step(student, -1, 0.9, seed=0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            multi_step(student, [0.0, 0.9], -1, seed=0)
 
     def test_node_validation(self):
         student = _student(seed=53)

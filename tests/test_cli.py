@@ -197,19 +197,39 @@ def test_diverged_training_fails_with_one_line(tmp_path):
     assert sorted(os.listdir(out)) == ["config.echo.ini", "data.csv", "holdout.csv"]
 
 
-def test_non_finite_sampler_state_fails_with_one_line(workspace, tmp_path, capsys):
+def _blow_up(workspace, tmp_path, sampler):
+    """Train what ``sampler`` needs, scale its checkpoint until the state overflows; the config."""
     cfg, out = workspace
-    for command in ("gen-data", "train-velocity"):
+    student = sampler in ("one-step", "multi-step")
+    for command in ("gen-data", "train-velocity") + (("train-cg",) if student else ()):
         assert _run(cfg, out, command) == 0
-    path = os.path.join(out, "field.ckpt")
+    path = os.path.join(out, "student.ckpt" if student else "field.ckpt")
     net, extra = load_net(path)
-    save_net(path, Net(net.spec, 1e150 * net.params), extra)
-    euler = tmp_path / "euler.ini"
-    euler.write_text(TINY_PIPELINE.replace("[sample]\n", "[sample]\nsampler = euler\nsteps = 12\n"))
+    save_net(path, Net(net.spec, (1e200 if student else 1e150) * net.params), extra)
+    blown = tmp_path / f"{sampler}.ini"
+    blown.write_text(TINY_PIPELINE.replace("[sample]\n",
+                                           f"[sample]\nsampler = {sampler}\nsteps = 3\n"))
+    return str(blown)
+
+
+@pytest.mark.parametrize("sampler", ["euler", "one-step", "multi-step"])
+def test_non_finite_sampler_state_fails_with_one_line(workspace, tmp_path, capsys, sampler):
+    cfg = _blow_up(workspace, tmp_path, sampler)
+    out = workspace[1]
     capsys.readouterr()
-    assert _run(str(euler), out, "sample") == 2
+    assert _run(cfg, out, "sample") == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: sample: non-finite state at step "), lines
+    assert not os.path.exists(os.path.join(out, "samples.csv"))
+
+
+def test_non_finite_one_step_sample_prints_no_warning(workspace, tmp_path):
+    # a subprocess, so that every stderr line counts, numpy warnings included
+    cfg = _blow_up(workspace, tmp_path, "one-step")
+    out = workspace[1]
+    proc = _cli(cfg, out, "sample")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: sample: non-finite state at step 1 (t = 0.990000)"]
     assert not os.path.exists(os.path.join(out, "samples.csv"))
 
 

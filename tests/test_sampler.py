@@ -8,8 +8,8 @@ from charflow.oracle import OracleContext, denoiser_exact, flow_exact, velocity_
 from charflow.rng import Rng
 from charflow.rng import stream_normals
 from charflow.sampler import (TRAJECTORY_MAGIC, NonFiniteState, TimeGrid, TrajectoryBatch,
-                              ei_flow, euler_flow, load_trajectories, push_samples,
-                              sample_endpoints, save_trajectories)
+                              ei_flow, euler_flow, integrate, load_trajectories, push_samples,
+                              save_trajectories)
 from charflow.schedule import Schedule
 from charflow.target import atomic_mixture
 from charflow.velocity import make_denoiser, make_velocity
@@ -213,7 +213,8 @@ class TestStreamedEndpoints:
         field, schedule = _net_field(method, dim)
         grid = TimeGrid(0.95, 7)
         batch = push_samples(method, field, m, dim, grid, seed=12, schedule=schedule)
-        ends = sample_endpoints(method, field, m, dim, grid, seed=12, schedule=schedule)
+        ends = push_samples(method, field, m, dim, grid, seed=12, schedule=schedule,
+                            keep_trajectories=False)
         assert ends.shape == (m, dim)
         assert ends.tobytes() == np.ascontiguousarray(batch.endpoints()).tobytes()
         reference = _reference_push(method, field, m, dim, grid, 12, schedule)
@@ -225,17 +226,35 @@ class TestStreamedEndpoints:
             return np.full_like(X, np.inf if t > 0.3 else 0.1)
 
         with pytest.raises(NonFiniteState, match=r"step 3 \(t = 0\.600000\)"):
-            sample_endpoints(method, blows_up_at_third_step, 4, 2, TimeGrid(0.8, 4), seed=1,
-                             schedule=FOLLMER)
+            push_samples(method, blows_up_at_third_step, 4, 2, TimeGrid(0.8, 4), seed=1,
+                         schedule=FOLLMER, keep_trajectories=False)
 
     def test_validation_matches_push_samples(self):
         for kwargs in ({"method": "ei"}, {"method": "heun"}, {"method": "euler", "m": 0}):
             args = {"method": "euler", "field": lambda t, X: X, "m": 2, "dim": 1,
                     "grid": TimeGrid(0.9, 4), "seed": 0, **kwargs}
             with pytest.raises(ValueError):
-                sample_endpoints(**args)
+                push_samples(**args, keep_trajectories=False)
             with pytest.raises(ValueError):
                 push_samples(**args)
+
+
+class TestIntegrate:
+    NODES = np.array([0.0, 0.05, 0.2, 0.5, 0.95])  # not uniform
+
+    def test_non_finite_state_names_the_time_of_its_node(self):
+        def blows_up_past_0_3(t, t_next, X):
+            return X + (np.inf if t_next > 0.3 else t_next - t)
+
+        with pytest.raises(NonFiniteState, match=r"step 3 \(t = 0\.500000\)"):
+            integrate(blows_up_past_0_3, np.zeros((3, 2)), self.NODES)
+
+    def test_steps_and_records_every_node(self):
+        record = np.empty((5, 2, 1))
+        ends = integrate(lambda t, t_next, X: X + (t_next - t), np.zeros((2, 1)), self.NODES,
+                         record=record)
+        assert np.array_equal(record[:, 0, 0], np.cumsum(np.diff(self.NODES, prepend=0.0)))
+        assert np.array_equal(ends, record[-1])
 
 
 @pytest.mark.parametrize("method", ["euler", "ei"])

@@ -164,6 +164,9 @@ def test_point_file_without_rows_is_refused(tmp_path, body):
     ("0.5,1.5,2.5\n", 3),             # one field too many
     ("0.5,1.5\n0.25,abc\n", 4),       # a field that is not a number
     ("0.5,\n", 3),                    # an empty field
+    ("0.5,inf\n", 3),                 # a coordinate that is not finite
+    ("nan,1.5\n", 3),
+    ("0.5,1.5\n\n# c\n1.0,-inf\n", 6),  # found past a blank line and a comment
 ])
 def test_damaged_point_file_names_path_and_line(tmp_path, body, line):
     path = tmp_path / "points.csv"
