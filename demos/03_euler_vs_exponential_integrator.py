@@ -15,8 +15,8 @@ import os
 import numpy as np
 
 from charflow.metrics import order_fit, w2_gaussian
+from charflow.oracle import gaussian_factors
 from charflow.schedule import Schedule
-from charflow.verify import _gaussian_factors
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
@@ -29,7 +29,7 @@ for kind in ("linear", "follmer"):
     print(f"== {kind} schedule (Gaussian target sigma={sigma}, T={T})")
     pts = []
     for K in ks:
-        f_euler, f_ei, f_star = _gaussian_factors(sch, sigma, T, K)
+        f_euler, f_ei, f_star = gaussian_factors(sch, sigma, T, K)
         err_eu = w2_gaussian(np.zeros(d), f_euler**2 * np.eye(d), np.zeros(d), f_star**2 * np.eye(d))
         err_ei = w2_gaussian(np.zeros(d), f_ei**2 * np.eye(d), np.zeros(d), f_star**2 * np.eye(d))
         pts.append((1.0 / K, err_eu))

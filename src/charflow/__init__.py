@@ -15,7 +15,7 @@ from .oracle import (OracleContext, denoiser_exact, flow_exact, gamma_coefficien
 from .net import AdamState, Net, NetSpec, adam_step, ema_update, net_init
 from .velocity import (InterpolantBatch, TrainConfig, draw_batch, denoiser_loss, train,
                        velocity_from_denoiser, velocity_loss)
-from .sampler import TimeGrid, TrajectoryBatch, ei_flow, euler_flow, integrate, push_samples
+from .sampler import TimeGrid, TrajectoryBatch, euler_flow, integrate, push_samples
 from .cgen import (CgTrainConfig, StudentNet, g_apply, global_loss, local_loss, multi_step,
                    one_step, regression_loss, self_distill_reference, semigroup_penalty, train_cg)
 from .metrics import MetricReport, order_fit, sliced_w2, w2_exact, w2_gaussian

@@ -34,7 +34,8 @@ gradient.
 
 Sampling is one evaluation of g(0, T, .) per particle, or a few chained
 evaluations over a node list (one-step is the node list (0, T)); both step
-through ``sampler.integrate``, the loop of the Euler and EI samplers.
+through ``sampler.integrate``, the loop of the Euler and EI samplers, and so
+does the practical teacher path g_int, on per-row nodes over [t, u].
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 from . import net as nets
 from .net import AdamState, Net, NetSpec
 from .rng import Rng
-from .sampler import TrajectoryBatch, integrate
+from .sampler import NonFiniteState, TrajectoryBatch, _ei_step, integrate
 from .schedule import Schedule, denoiser_coeffs
 from .target import as_points
 from .velocity import (InterpolantBatch, denoiser_target, draw_batch, estimate_sigma_data, fit,
@@ -279,11 +280,13 @@ def local_loss(student: StudentNet, batch: InterpolantBatch):
 def make_teacher_flow(denoiser, schedule: Schedule, steps: int):
     """Exponential-integrator flow map of a teacher denoiser over [t, u].
 
-    Returns flow(t, u, X) stepping each row through ``steps`` uniform
-    substeps of its own interval; rows with u = t pass through unchanged.
+    Returns flow(t, u, X) stepping each row through ``steps`` uniform substeps
+    of its own interval (``sampler.integrate`` on per-row nodes); rows with
+    u = t pass through unchanged.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    fractions = (np.arange(steps + 1) / steps)[:, None]
 
     def flow(t, u, X):
         X = as_points(X, "X")
@@ -292,13 +295,7 @@ def make_teacher_flow(denoiser, schedule: Schedule, steps: int):
         u = np.broadcast_to(np.asarray(u, dtype=np.float64), (m,))
         if np.any(u < t):
             raise ValueError("teacher flow requires t <= u")
-        Y = X.copy()
-        for j in range(steps):
-            tj = t + (u - t) * (j / steps)
-            tj1 = t + (u - t) * ((j + 1) / steps)
-            phi, psi = schedule.ei_coeffs(tj, tj1)
-            Y = phi[:, None] * Y + psi[:, None] * as_points(denoiser(tj, Y), "denoiser output")
-        return Y
+        return integrate(_ei_step(denoiser, schedule), X, t + (u - t) * fractions)
 
     return flow
 
@@ -342,7 +339,10 @@ def global_loss(student, offline, teacher_flow, batch: InterpolantBatch, u, s,
     if np.any(u < t) or np.any(s < u) or np.any(s > T + 1e-12):
         raise ValueError("global_loss requires t <= u <= s <= T")
     t_end = np.full(m, T)
-    y = as_points(teacher_flow(t, u, batch.xt), "teacher flow output")
+    try:
+        y = as_points(teacher_flow(t, u, batch.xt), "teacher flow output")
+    except NonFiniteState as exc:
+        raise RuntimeError("non-finite global loss") from exc
     w2 = _eval_g(offline, s, t_end, _eval_g(offline, t, s, batch.xt))
     if not (isinstance(student, StudentNet) and isinstance(offline, StudentNet)):
         resid = _eval_g(offline, s, t_end, _eval_g(student, u, s, y)) - w2

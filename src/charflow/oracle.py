@@ -18,9 +18,11 @@ sigma already underflow naive exponentials).  Everything else follows:
 * conditional covariance
   (a^2/(a^2+s^2 b^2))^2 cov(U) + s^2 a^2/(a^2+s^2 b^2) I.
 
-The reference flow map integrates the exact velocity with classical RK4 and
-Richardson step halving; it is the ground truth against which every learned
-or discretized flow is measured.
+The reference flow map runs classical RK4 steps of the exact velocity
+through ``sampler.integrate``, with Richardson step halving; it is the
+ground truth against which every learned or discretized flow is measured.
+``gaussian_factors`` is the closed form of Euler, EI and the exact flow on
+the origin Gaussian target.
 
 All evaluators take a batch ``x`` of shape (m, d) (any other shape raises
 ValueError) and a scalar time or a per-row time array of shape (m,).
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sampler import integrate
 from .schedule import Schedule
 from .target import TargetSpec, as_points, atomic_mixture
 
@@ -43,6 +46,7 @@ __all__ = [
     "score_exact",
     "conditional_cov_exact",
     "flow_exact",
+    "gaussian_factors",
     "manifold_decompose",
 ]
 
@@ -169,15 +173,33 @@ def flow_exact(ctx: OracleContext, t: float, s: float, x, tol: float = 1e-10,
 
 def _rk4(ctx, t, s, X, steps):
     h = (s - t) / steps
-    y = X.copy()
-    for k in range(steps):
-        tk = t + k * h
+
+    def step(tk, _, y):
         k1 = velocity_exact(ctx, tk, y)
         k2 = velocity_exact(ctx, tk + 0.5 * h, y + 0.5 * h * k1)
         k3 = velocity_exact(ctx, tk + 0.5 * h, y + 0.5 * h * k2)
         k4 = velocity_exact(ctx, tk + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
+        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return integrate(step, X, t + h * np.arange(steps + 1))
+
+
+def gaussian_factors(schedule: Schedule, sigma: float, T: float, K: int):
+    """Linear-map factors of K Euler / EI steps and the exact flow to T, origin Gaussian."""
+    nodes = np.linspace(0.0, T, K + 1)
+    f_euler = 1.0
+    f_ei = 1.0
+    for k in range(K):
+        t, t1 = nodes[k], nodes[k + 1]
+        a, b, da, db = schedule.coeffs(t)
+        den = a * a + sigma * sigma * b * b
+        gam = (a * da + sigma * sigma * b * db) / den
+        f_euler *= 1.0 + (t1 - t) * gam
+        phi, psi = schedule.ei_coeffs(t, t1)
+        f_ei *= phi + psi * (sigma * sigma * b / den)
+    a_T, b_T = schedule.alpha(T), schedule.beta(T)
+    f_exact = float(np.sqrt(a_T**2 + sigma**2 * b_T**2))
+    return float(f_euler), float(f_ei), f_exact
 
 
 def manifold_decompose(ctx: OracleContext, t, x):

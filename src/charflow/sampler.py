@@ -4,8 +4,9 @@ Forward Euler steps ``x <- x + tau * b(t, x)``; the exponential integrator
 exploits the semi-linear form of the denoiser-driven ODE and steps
 ``x <- phi(t, t') x + psi(t, t') D(t, x)``, which is exact whenever the
 denoiser is frozen over the step.  Both run through ``integrate``, the one
-stepping loop of the package (the one-step and multi-step generator samplers
-of ``cgen`` run through it too), which keeps a state only when asked to.
+loop of the package that steps an (m, d) state and keeps it only when asked
+to; so do ``cgen``'s samplers and per-row teacher flow, and the RK4
+reference flow of ``oracle.flow_exact``.
 ``push_samples`` integrates a batch of prior draws and keeps every
 intermediate state, the training corpus for characteristic regression; with
 ``keep_trajectories=False`` it streams and holds only the current (m, d)
@@ -33,7 +34,6 @@ __all__ = [
     "TimeGrid",
     "TrajectoryBatch",
     "euler_flow",
-    "ei_flow",
     "push_samples",
     "integrate",
     "save_trajectories",
@@ -100,12 +100,13 @@ class TrajectoryBatch:
 def integrate(step_fn, x0, nodes, record=None) -> np.ndarray:
     """Endpoint of ``X <- step_fn(nodes[k], nodes[k+1], X)`` from x0 (m, d), (m, d).
 
-    ``nodes`` is any increasing time sequence.  Only the current (m, d) state
-    is kept, unless ``record`` is given: an array indexed by node, whose
+    ``nodes`` is any increasing time sequence, shaped (K+1,), or (K+1, m) to
+    give each row its own times.  Only the current (m, d) state is kept,
+    unless ``record`` is given: an array indexed by node, whose
     ``record[k]`` receives the state at nodes[k].  The steps run inside one
     ``net.buffer_pool`` block, so a network field reuses its work arrays from
     step to step.  Overflow warnings are silenced: a non-finite state raises
-    NonFiniteState naming the step.
+    NonFiniteState naming the step and the time of its first non-finite row.
     """
     X = as_points(x0, "x0")
     if record is not None:
@@ -114,7 +115,9 @@ def integrate(step_fn, x0, nodes, record=None) -> np.ndarray:
         for k in range(len(nodes) - 1):
             X = step_fn(nodes[k], nodes[k + 1], X)
             if not np.all(np.isfinite(X)):
-                raise NonFiniteState(f"non-finite state at step {k + 1} (t = {nodes[k + 1]:.6f})")
+                bad_row = np.argmin(np.isfinite(X).all(axis=1))
+                t_bad = np.broadcast_to(nodes[k + 1], X.shape[:1])[bad_row]
+                raise NonFiniteState(f"non-finite state at step {k + 1} (t = {t_bad:.6f})")
             if record is not None:
                 record[k + 1] = X
     return X
@@ -122,7 +125,7 @@ def integrate(step_fn, x0, nodes, record=None) -> np.ndarray:
 
 def _euler_step(velocity):
     def step(t, t_next, X):
-        return X + (t_next - t) * velocity(t, X)
+        return X + (t_next - t) * as_points(velocity(t, X), "velocity output")
 
     return step
 
@@ -130,16 +133,10 @@ def _euler_step(velocity):
 def _ei_step(denoiser, schedule: Schedule):
     def step(t, t_next, X):
         phi, psi = schedule.ei_coeffs(t, t_next)
-        return phi * X + psi * denoiser(t, X)
+        D = as_points(denoiser(t, X), "denoiser output")
+        return np.asarray(phi)[..., None] * X + np.asarray(psi)[..., None] * D
 
     return step
-
-
-def _trajectory(step_fn, x0, grid: TimeGrid) -> np.ndarray:
-    X = as_points(x0, "x0")
-    out = np.empty((grid.steps + 1,) + X.shape)
-    integrate(step_fn, X, grid.nodes, record=out)
-    return out
 
 
 def euler_flow(velocity, x0, grid: TimeGrid) -> np.ndarray:
@@ -147,12 +144,10 @@ def euler_flow(velocity, x0, grid: TimeGrid) -> np.ndarray:
 
     Returns the states on every grid node, shaped (K+1, m, d).
     """
-    return _trajectory(_euler_step(velocity), x0, grid)
-
-
-def ei_flow(denoiser, schedule: Schedule, x0, grid: TimeGrid) -> np.ndarray:
-    """First-order exponential-integrator trajectory from x0 (m, d); (K+1, m, d)."""
-    return _trajectory(_ei_step(denoiser, schedule), x0, grid)
+    X = as_points(x0, "x0")
+    out = np.empty((grid.steps + 1,) + X.shape)
+    integrate(_euler_step(velocity), X, grid.nodes, record=out)
+    return out
 
 
 def push_samples(method: str, field, m: int, dim: int, grid: TimeGrid, seed: int,
@@ -167,8 +162,8 @@ def push_samples(method: str, field, m: int, dim: int, grid: TimeGrid, seed: int
     Trajectories are kept only for the regression corpus: by default the
     result is a TrajectoryBatch whose states are recorded straight into
     their file layout, a C-contiguous (m, K+1, d) array.  With
-    ``keep_trajectories=False`` the integration streams and returns the
-    (m, dim) endpoints (see ``sample_endpoints``).
+    ``keep_trajectories=False`` the integration streams and returns only the
+    (m, dim) endpoints, the path of ``charflow sample``.
     """
     if m < 1:
         raise ValueError("m must be >= 1")

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cgen, metrics, net as nets, sampler, velocity
-from .oracle import (OracleContext, denoiser_exact, manifold_decompose, score_exact,
-                     velocity_exact)
+from .oracle import (OracleContext, denoiser_exact, gaussian_factors, manifold_decompose,
+                     score_exact, velocity_exact)
 from .rng import Rng
 from .schedule import Schedule, validate_schedule
 from .target import atomic_mixture, embed_target
@@ -100,30 +100,12 @@ def check_oracle_identities(n_probe: int = 1000, tol: float = 1e-10, seed: int =
                        {"worst": worst})
 
 
-def _gaussian_factors(schedule: Schedule, sigma: float, T: float, K: int):
-    """Linear-map factors of Euler and EI steps for the origin Gaussian target."""
-    nodes = np.linspace(0.0, T, K + 1)
-    f_euler = 1.0
-    f_ei = 1.0
-    for k in range(K):
-        t, t1 = nodes[k], nodes[k + 1]
-        a, b, da, db = schedule.coeffs(t)
-        den = a * a + sigma * sigma * b * b
-        gam = (a * da + sigma * sigma * b * db) / den
-        f_euler *= 1.0 + (t1 - t) * gam
-        phi, psi = schedule.ei_coeffs(t, t1)
-        f_ei *= phi + psi * (sigma * sigma * b / den)
-    a_T, b_T = schedule.alpha(T), schedule.beta(T)
-    f_exact = float(np.sqrt(a_T**2 + sigma**2 * b_T**2))
-    return float(f_euler), float(f_ei), f_exact
-
-
 def check_euler_order(sigma: float = 0.5, T: float = 0.9, d: int = 2) -> CheckResult:
     sch = Schedule("linear")
     ks = [10, 20, 40, 80, 160]
     pts = []
     for K in ks:
-        f_e, _, f_star = _gaussian_factors(sch, sigma, T, K)
+        f_e, _, f_star = gaussian_factors(sch, sigma, T, K)
         err = metrics.w2_gaussian(np.zeros(d), f_e**2 * np.eye(d), np.zeros(d), f_star**2 * np.eye(d))
         pts.append((1.0 / K, err))
     slope, _, r2 = metrics.order_fit(pts)
@@ -139,12 +121,12 @@ def check_ei_beats_euler(sigma: float = 0.5, T: float = 0.9) -> CheckResult:
     # the follmer schedule separates the methods and is checked strictly.
     rows = []
     for K in [10, 20, 40, 80, 160]:
-        f_e, f_i, f_star = _gaussian_factors(Schedule("linear"), sigma, T, K)
+        f_e, f_i, f_star = gaussian_factors(Schedule("linear"), sigma, T, K)
         rows.append((K, abs(f_i - f_star), abs(f_e - f_star)))
     ok = all(ei <= eu * (1.0 + 1e-12) for _, ei, eu in rows)
     strict = []
     for K in [10, 20, 40, 80, 160]:
-        f_e, f_i, f_star = _gaussian_factors(Schedule("follmer"), sigma, T, K)
+        f_e, f_i, f_star = gaussian_factors(Schedule("follmer"), sigma, T, K)
         strict.append(abs(f_i - f_star) < abs(f_e - f_star))
     ok = ok and all(strict)
     detail = "; ".join(f"K={k}: EI {ei:.2e} vs Euler {eu:.2e}" for k, ei, eu in rows[:3])

@@ -11,7 +11,7 @@ from charflow.rng import Rng
 from charflow.sampler import NonFiniteState, TimeGrid, push_samples
 from charflow.schedule import Schedule, denoiser_coeffs
 from charflow.target import atomic_mixture, sample_target
-from charflow.velocity import TrainingDiverged, draw_batch
+from charflow.velocity import TrainingDiverged, draw_batch, make_denoiser
 from charflow.verify import trajectory_lookup
 
 LINEAR = Schedule("linear")
@@ -268,6 +268,44 @@ class TestLocalLoss:
         for scale in (0.05, 0.3):
             noisy = f_star + scale * rng.normal(f_star.shape)
             assert float(np.mean(np.sum((noisy - target) ** 2, axis=1))) > base
+
+
+def _teacher_flow_loop(denoiser, schedule, steps, t, u, X):
+    """Reference: the hand-written per-row EI loop the teacher flow used to run."""
+    m = X.shape[0]
+    t = np.broadcast_to(np.asarray(t, dtype=np.float64), (m,))
+    u = np.broadcast_to(np.asarray(u, dtype=np.float64), (m,))
+    Y = X.copy()
+    for j in range(steps):
+        tj = t + (u - t) * (j / steps)
+        tj1 = t + (u - t) * ((j + 1) / steps)
+        phi, psi = schedule.ei_coeffs(tj, tj1)
+        Y = phi[:, None] * Y + psi[:, None] * denoiser(tj, Y)
+    return Y
+
+
+class TestTeacherFlow:
+    TWO_2D = atomic_mixture(np.array([[0.1, 0.2], [0.9, 0.7]]), sigma=0.3,
+                            weights=np.array([0.4, 0.6]))
+
+    @pytest.mark.parametrize("teacher", ["exact", "net"])
+    @pytest.mark.parametrize("schedule", [LINEAR, FOLLMER], ids=["linear", "follmer"])
+    @pytest.mark.parametrize("steps", [1, 2, 8])
+    def test_bit_identical_to_the_per_row_loop(self, teacher, schedule, steps):
+        if teacher == "exact":
+            ctx = OracleContext(self.TWO_2D, schedule)
+            denoiser = lambda t, X: denoiser_exact(ctx, t, X)
+        else:
+            net = net_init(NetSpec(3, (16, 16), 2, activation="silu"), seed=61)
+            denoiser = make_denoiser(net, schedule, 0.5)
+        rng = Rng(62)
+        X = rng.normal((40, 2))
+        t = 0.9 * rng.uniform(40)
+        u = t + (0.95 - t) * rng.uniform(40)
+        u[:5] = t[:5]
+        flow = make_teacher_flow(denoiser, schedule, steps)(t, u, X)
+        assert np.array_equal(flow, _teacher_flow_loop(denoiser, schedule, steps, t, u, X))
+        assert np.array_equal(flow[:5], X[:5])
 
 
 class TestGlobalLoss:

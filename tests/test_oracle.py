@@ -119,7 +119,36 @@ class TestScore:
             score_exact(ctx, 0.0, np.array([[0.5]]))
 
 
+def _rk4_loop(ctx, t, s, X, steps):
+    """Reference: the hand-written RK4 loop flow_exact used to run."""
+    h = (s - t) / steps
+    y = X.copy()
+    for k in range(steps):
+        tk = t + k * h
+        k1 = velocity_exact(ctx, tk, y)
+        k2 = velocity_exact(ctx, tk + 0.5 * h, y + 0.5 * h * k1)
+        k3 = velocity_exact(ctx, tk + 0.5 * h, y + 0.5 * h * k2)
+        k4 = velocity_exact(ctx, tk + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
 class TestFlow:
+    @pytest.mark.parametrize("schedule", [LINEAR, FOLLMER], ids=["linear", "follmer"])
+    @pytest.mark.parametrize("t, s", [(0.0, 0.5), (0.2, 0.9), (0.1, 0.99)])
+    def test_bit_identical_to_doubling_the_rk4_loop(self, schedule, t, s):
+        frame = np.linalg.qr(Rng(5).normal((6, 2)))[0]
+        ctx = OracleContext(embed_target(CUBE_2D, frame), schedule)
+        x = Rng(6).normal((16, 6))
+        tol = 1e-8
+        prev, steps = _rk4_loop(ctx, t, s, x, 8), 16
+        while True:
+            cur = _rk4_loop(ctx, t, s, x, steps)
+            if float(np.max(np.abs(cur - prev))) < tol:
+                break
+            prev, steps = cur, 2 * steps
+        assert np.array_equal(flow_exact(ctx, t, s, x, tol=tol), cur)
+
     def test_gaussian_closed_form_factor(self):
         ctx = OracleContext(GAUSS2, LINEAR)
         x = np.array([2.0, 0.0])

@@ -17,7 +17,7 @@ from charflow.net import NetSpec, net_init
 from charflow.oracle import (OracleContext, conditional_cov_exact, denoiser_exact, flow_exact,
                              manifold_decompose, posterior_atom_weights, score_exact,
                              velocity_exact)
-from charflow.sampler import TimeGrid, TrajectoryBatch, ei_flow, euler_flow
+from charflow.sampler import TimeGrid, TrajectoryBatch, euler_flow, push_samples
 from charflow.schedule import Schedule
 from charflow.target import TargetSpec, as_points, atomic_mixture, embed_target, save_points
 from charflow.velocity import (TrainConfig, draw_batch, estimate_sigma_data, make_denoiser,
@@ -80,7 +80,10 @@ ENTRY_POINTS = {
         STUDENT, STUDENT, _drop_column(lambda t, u, X: X), BATCH, BATCH.t, BATCH.t),
     "train_cg": lambda x: train_cg(SELF_DISTILL, data=x),
     "euler_flow": lambda x: euler_flow(lambda t, X: X, x, GRID),
-    "ei_flow": lambda x: ei_flow(lambda t, X: X, LINEAR, x, GRID),
+    "streamed euler velocity output": lambda x: push_samples(
+        "euler", _drop_column(lambda t, X: X), 3, 1, GRID, 0, keep_trajectories=False),
+    "streamed ei denoiser output": lambda x: push_samples(
+        "ei", _drop_column(lambda t, X: X), 3, 1, GRID, 0, LINEAR, keep_trajectories=False),
 }
 
 

@@ -8,7 +8,7 @@ from charflow.oracle import OracleContext, denoiser_exact, flow_exact, velocity_
 from charflow.rng import Rng
 from charflow.rng import stream_normals
 from charflow.sampler import (TRAJECTORY_MAGIC, NonFiniteState, TimeGrid, TrajectoryBatch,
-                              ei_flow, euler_flow, integrate, load_trajectories, push_samples,
+                              _ei_step, euler_flow, integrate, load_trajectories, push_samples,
                               save_trajectories)
 from charflow.schedule import Schedule
 from charflow.target import atomic_mixture
@@ -116,7 +116,7 @@ class TestEiFlow:
             for K in (10, 40, 160):
                 grid = TimeGrid(0.9, K)
                 err_eu = np.linalg.norm(euler_flow(vel, x0, grid)[-1] - exact)
-                err_ei = np.linalg.norm(ei_flow(den, schedule, x0, grid)[-1] - exact)
+                err_ei = np.linalg.norm(integrate(_ei_step(den, schedule), x0, grid.nodes) - exact)
                 if strict:
                     assert err_ei < err_eu
                 else:
@@ -255,6 +255,16 @@ class TestIntegrate:
                          record=record)
         assert np.array_equal(record[:, 0, 0], np.cumsum(np.diff(self.NODES, prepend=0.0)))
         assert np.array_equal(ends, record[-1])
+
+    def test_per_row_non_finite_state_names_the_step_and_the_row_time(self):
+        # rows 0 and 2 stay finite; row 1 blows up once its own time passes 0.3
+        nodes = np.stack([0.5 * self.NODES, self.NODES, 0.9 * self.NODES], axis=1)
+
+        def row_1_blows_up(t, t_next, X):
+            return X + np.where(t_next > 0.3, [0.0, np.inf, 0.0], 0.0)[:, None]
+
+        with pytest.raises(NonFiniteState, match=r"step 3 \(t = 0\.500000\)"):
+            integrate(row_1_blows_up, np.zeros((3, 2)), nodes)
 
 
 @pytest.mark.parametrize("method", ["euler", "ei"])
