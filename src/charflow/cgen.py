@@ -29,8 +29,10 @@ Three training modes:
   midpoint composition, evaluated without gradient tracking.
 
 Every mode is a step function around the shared loop ``velocity.fit``.
-Losses accept a StudentNet or a plain callable g; only a StudentNet gets a
-gradient.
+Every loss evaluates g through one forward object, ``_GParts``, which is
+also the only place that forms D_S and g, and applies one finite check to
+its value.  A loss accepts a StudentNet or a plain callable g; only a
+StudentNet gets a gradient.
 
 Sampling is one evaluation of g(0, T, .) per particle, or a few chained
 evaluations over a node list (one-step is the node list (0, T)); both step
@@ -132,38 +134,43 @@ def student_denoiser(student: StudentNet, t, s, x) -> np.ndarray:
     if student.plain:
         raise ValueError("plain students parameterize g directly and carry no denoiser")
     t, s, X = _rows(t, s, x, student.stop_time)
-    inp, (c_in, c_skip, c_out) = _student_input(student, t, s, X)
-    return c_skip[:, None] * X + c_out[:, None] * nets.forward_batch(student.net, inp)
+    return _GParts(student, t, s, X, want_cache=False).d_s
 
 
 def g_apply(student: StudentNet, t, s, x) -> np.ndarray:
     """Evaluate the two-time flow map g(t, s, x) on a batch x (m, d)."""
     t, s, X = _rows(t, s, x, student.stop_time)
-    inp, coeffs = _student_input(student, t, s, X)
     student.eval_count += 1
-    if student.plain:
-        return nets.forward_batch(student.net, inp)
-    c_in, c_skip, c_out = coeffs
-    phi, psi = student.schedule.ei_coeffs(t, s)
-    d_s = c_skip[:, None] * X + c_out[:, None] * nets.forward_batch(student.net, inp)
-    return phi[:, None] * X + psi[:, None] * d_s
+    return _GParts(student, t, s, X, want_cache=False).out
 
 
 class _GParts:
-    """One forward pass of g on a row batch, kept around for later VJPs."""
+    """g(t, s, X) on a row batch: the one place that evaluates g.
 
-    def __init__(self, student: StudentNet, t, s, X):
-        self.student = student
-        self.X = X
-        self.inp, self.coeffs = _student_input(student, t, s, X)
-        f_out, self.cache = nets.forward_batch(student.net, self.inp, want_cache=True)
-        if student.plain:
-            self.out = f_out
+    ``g`` is a StudentNet or a plain callable g(t, s, X).  A callable keeps
+    only its output and ``student`` is None (no VJP).  A student keeps its
+    forward cache for later VJPs unless ``want_cache`` is False; an anchored
+    student also keeps D_S.
+    """
+
+    def __init__(self, g, t, s, X, want_cache: bool = True):
+        if not isinstance(g, StudentNet):
+            self.student = None
+            self.out = as_points(g(t, s, X), "g output")
+            return
+        self.student = g
+        self.inp, self.coeffs = _student_input(g, t, s, X)
+        if want_cache:
+            f_out, self.cache = nets.forward_batch(g.net, self.inp, want_cache=True)
         else:
-            self.phi, self.psi = student.schedule.ei_coeffs(t, s)
-            c_in, c_skip, c_out = self.coeffs
-            d_s = c_skip[:, None] * X + c_out[:, None] * f_out
-            self.out = self.phi[:, None] * X + self.psi[:, None] * d_s
+            f_out, self.cache = nets.forward_batch(g.net, self.inp), None
+        if g.plain:
+            self.out = f_out
+            return
+        self.phi, self.psi = g.schedule.ei_coeffs(t, s)
+        _, c_skip, c_out = self.coeffs
+        self.d_s = c_skip[:, None] * X + c_out[:, None] * f_out
+        self.out = self.phi[:, None] * X + self.psi[:, None] * self.d_s
 
     def vjp(self, upstream, want_input: bool = False):
         """Gradient of sum_i <upstream_i, g_i> w.r.t. params (and inputs x)."""
@@ -178,13 +185,6 @@ class _GParts:
         if want_input:
             input_grad = (self.phi + self.psi * c_skip)[:, None] * upstream + c_in[:, None] * ig[:, -d:]
         return pg, input_grad
-
-
-def _eval_g(g, t, s, X):
-    """Evaluate either a StudentNet or a plain callable g(t, s, X)."""
-    if isinstance(g, StudentNet):
-        return g_apply(g, t, s, X)
-    return as_points(g(t, s, X), "g output")
 
 
 def sample_index_pairs(rng: Rng, count: int, steps: int) -> np.ndarray:
@@ -216,12 +216,12 @@ def regression_loss(g, batch: TrajectoryBatch, pairs):
     target = batch.states[i, ell]
     w = np.where(k == ell, 0.5, 1.0)
     n = pairs.shape[0]
-    parts = _GParts(g, t, s, Xin) if isinstance(g, StudentNet) else None
-    resid = (parts.out if parts else _eval_g(g, t, s, Xin)) - target
+    parts = _GParts(g, t, s, Xin)
+    resid = parts.out - target
     loss = float(np.sum(w * np.sum(resid * resid, axis=1))) / n
     if not np.isfinite(loss):
         raise RuntimeError("non-finite regression loss")
-    if parts is None:
+    if parts.student is None:
         return loss, None
     grad, _ = parts.vjp((2.0 / n) * w[:, None] * resid)
     return loss, grad
@@ -245,16 +245,13 @@ def semigroup_penalty(g, batch: TrajectoryBatch, triples):
     n = triples.shape[0]
     Xk = batch.states[i, k]
     Xj = batch.states[i, j]
-    if isinstance(g, StudentNet):
-        parts_a = _GParts(g, nodes[k], nodes[ell], Xk)
-        parts_b = _GParts(g, nodes[j], nodes[ell], Xj)
-        delta = parts_a.out - parts_b.out
-    else:
-        delta = _eval_g(g, nodes[k], nodes[ell], Xk) - _eval_g(g, nodes[j], nodes[ell], Xj)
+    parts_a = _GParts(g, nodes[k], nodes[ell], Xk)
+    parts_b = _GParts(g, nodes[j], nodes[ell], Xj)
+    delta = parts_a.out - parts_b.out
     penalty = float(np.sum(delta * delta)) / n
     if not np.isfinite(penalty):
         raise RuntimeError("non-finite semigroup penalty")
-    if not isinstance(g, StudentNet):
+    if parts_a.student is None:
         return penalty, None
     up = (2.0 / n) * delta
     ga, _ = parts_a.vjp(up)
@@ -308,7 +305,8 @@ def self_distill_reference(student, t, s, x) -> np.ndarray:
     stop = student.stop_time if isinstance(student, StudentNet) else 1.0
     t_arr, s_arr, X = _rows(t, s, x, stop)
     u = 0.5 * (t_arr + s_arr)
-    return _eval_g(student, u, s_arr, _eval_g(student, t_arr, u, X))
+    mid = _GParts(student, t_arr, u, X, want_cache=False).out
+    return _GParts(student, u, s_arr, mid, want_cache=False).out
 
 
 def global_loss(student, offline, teacher_flow, batch: InterpolantBatch, u, s,
@@ -343,17 +341,16 @@ def global_loss(student, offline, teacher_flow, batch: InterpolantBatch, u, s,
         y = as_points(teacher_flow(t, u, batch.xt), "teacher flow output")
     except NonFiniteState as exc:
         raise RuntimeError("non-finite global loss") from exc
-    w2 = _eval_g(offline, s, t_end, _eval_g(offline, t, s, batch.xt))
-    if not (isinstance(student, StudentNet) and isinstance(offline, StudentNet)):
-        resid = _eval_g(offline, s, t_end, _eval_g(student, u, s, y)) - w2
-        loss = float(np.sum(resid * resid)) / m
-        return loss, None
+    w2 = _GParts(offline, t, s, batch.xt, want_cache=False).out
+    w2 = _GParts(offline, s, t_end, w2, want_cache=False).out
     mid = _GParts(student, u, s, y)
     endcap = _GParts(offline, s, t_end, mid.out)
     resid = endcap.out - w2
     loss = float(np.sum(resid * resid)) / m
     if not np.isfinite(loss):
         raise RuntimeError("non-finite global loss")
+    if mid.student is None or endcap.student is None:
+        return loss, None
     _, v_z = endcap.vjp((2.0 / m) * resid, want_input=True)
     grad, _ = mid.vjp(v_z)
     return loss, grad

@@ -18,8 +18,10 @@ the same effective config produce bit-identical outputs.
 A bad run exits 2 with one ``error:`` line on stderr, never a traceback: a
 bad config (a float key out of its range included), a missing or damaged
 input (a point file with no rows or a non-finite coordinate included), a
-checkpoint whose output dimension differs from the config's target (refused
-before the command writes its outputs), a training run that diverges (a
+``run.seed`` outside [0, ``config.SEED_MAX``] (from the file or ``--seed``), a
+checkpoint of the other role (a student's over ``field.ckpt`` or the reverse)
+or whose output dimension differs from the config's target (refused before
+the command writes its outputs), a training run that diverges (a
 non-finite loss, or a loss above ``velocity.DIVERGENCE_FACTOR`` times the
 first; the line names the command and the iteration; no checkpoint is
 written) and a sampler whose state turns non-finite (every sampler,
@@ -42,16 +44,20 @@ import sys
 import numpy as np
 
 from . import __version__, cgen, net as nets, sampler, velocity
-from .config import (SEED_CG, SEED_DATA, SEED_EVAL, SEED_HOLDOUT, SEED_SAMPLE, SEED_TRAJ,
+from .config import (SEED_CG, SEED_DATA, SEED_EVAL, SEED_HOLDOUT, SEED_MAX, SEED_SAMPLE, SEED_TRAJ,
                      SEED_VELOCITY, RunConfig, config_hash, parse_config, serialize_config)
 from .fileio import atomic_open
 from .metrics import MetricReport, save_reports, sliced_w2, w2_exact, W2_EXACT_MAX_N
 from .net import NetSpec, load_net, save_net
 from .schedule import Schedule
 from .target import TargetSpec, load_points, sample_target, save_points
-from .velocity import TrainConfig, estimate_sigma_data, make_denoiser, make_velocity
+from .velocity import (TrainConfig, estimate_sigma_data, make_denoiser, make_velocity,
+                       velocity_from_denoiser)
 
 COMMANDS = ("gen-data", "train-velocity", "train-cg", "sample", "eval", "verify")
+# the header keys each checkpoint's readers need; the other role's file lacks one of them
+CHECKPOINT_KEYS = {"field.ckpt": ("role", "schedule", "stop_time", "sigma_data"),
+                   "student.ckpt": ("schedule", "stop_time", "sigma_data", "plain")}
 
 
 def _provenance(cfg: RunConfig) -> str:
@@ -138,9 +144,13 @@ def cmd_train_velocity(cfg: RunConfig, out: str) -> int:
 
 
 def _load_checked(cfg: RunConfig, out: str, name: str, hint: str):
-    """Load a checkpoint and refuse it if its output dimension is not the target's."""
+    """Load a checkpoint; refuse one of the other role or of another output dimension."""
     path = _require(os.path.join(out, name), hint)
     net, extra = load_net(path)
+    missing = [key for key in CHECKPOINT_KEYS[name] if key not in extra]
+    if missing:
+        raise ValueError(f"{path} is not a {name.split('.')[0]} checkpoint (its header lacks "
+                         f"{', '.join(missing)}); rerun `charflow {hint}`")
     dim = _target_spec(cfg).dim
     if net.spec.output_dim != dim:
         raise ValueError(f"{path} maps to dimension {net.spec.output_dim}, but the config's "
@@ -153,7 +163,7 @@ def _load_field(cfg: RunConfig, out: str):
     schedule = Schedule(extra["schedule"])
     if extra["role"] == "denoiser":
         denoiser = make_denoiser(net, schedule, extra["sigma_data"])
-        field = velocity.denoiser_to_velocity_field(denoiser, schedule)
+        field = lambda t, X: velocity_from_denoiser(denoiser, schedule, t, X)
     else:
         denoiser = None
         field = make_velocity(net)
@@ -318,6 +328,8 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg.sections["run"]["seed"] = args.seed
+        if not 0 <= cfg.seed <= SEED_MAX:
+            raise ValueError(f"run.seed must lie in [0, {SEED_MAX}], got {cfg.seed}")
         os.makedirs(args.out, exist_ok=True)
         _echo_config(cfg, args.out)
         return HANDLERS[args.command](cfg, args.out)

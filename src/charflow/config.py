@@ -5,7 +5,9 @@ lines, ``#`` comments).  Every key has a declared type and default; unknown
 sections or keys are rejected by name, and parse -> serialize -> parse is
 the identity on effective configurations (serialization writes every key).
 Integer sizes and counts must be at least 1 and iteration counts at least
-0; ``[run] seed`` is not bounded here.  Float keys with a range are checked
+0.  ``[run] seed`` is not bounded here: the CLI checks it lies in
+[0, ``SEED_MAX``] after applying ``--seed``, so one check covers the file
+value and the override.  Float keys with a range are checked
 against ``FLOAT_BOUNDS``, which no NaN passes.
 
 Point lists (mixture atoms, frame rows) are written as ';'-separated points
@@ -29,7 +31,7 @@ import numpy as np
 
 __all__ = ["RunConfig", "parse_config", "parse_config_text", "serialize_config", "config_hash",
            "configs_equal", "SEED_DATA", "SEED_HOLDOUT", "SEED_VELOCITY", "SEED_TRAJ",
-           "SEED_CG", "SEED_SAMPLE", "SEED_EVAL"]
+           "SEED_CG", "SEED_SAMPLE", "SEED_EVAL", "SEED_MAX"]
 
 SEED_DATA = 0
 SEED_HOLDOUT = 1
@@ -38,6 +40,7 @@ SEED_TRAJ = 3
 SEED_CG = 4
 SEED_SAMPLE = 5
 SEED_EVAL = 6
+SEED_MAX = 2**64 - 1 - SEED_EVAL  # every seed + offset must still be a u64 Philox key
 
 
 def _parse_points(text: str) -> np.ndarray | None:

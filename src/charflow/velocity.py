@@ -45,7 +45,6 @@ __all__ = [
     "velocity_from_denoiser",
     "make_velocity",
     "make_denoiser",
-    "denoiser_to_velocity_field",
     "estimate_sigma_data",
     "clip_gradient",
 ]
@@ -270,9 +269,3 @@ def make_denoiser(net: Net, schedule: Schedule, sigma_data: float):
         return c_skip[:, None] * X + c_out[:, None] * pred
 
     return denoiser_fn
-
-
-def denoiser_to_velocity_field(denoiser, schedule: Schedule):
-    """Field callable applying the denoiser-to-velocity conversion pointwise."""
-
-    return lambda t, X: velocity_from_denoiser(denoiser, schedule, t, X)

@@ -5,6 +5,7 @@ from charflow.cgen import (CgTrainConfig, StudentNet, g_apply, global_loss, loca
                            make_teacher_flow, multi_step, one_step, regression_loss,
                            sample_index_pairs, self_distill_reference, semigroup_penalty,
                            student_denoiser, train_cg)
+from charflow import net as nets
 from charflow.net import Net, NetSpec, net_init
 from charflow.oracle import OracleContext, denoiser_exact, flow_exact, velocity_exact
 from charflow.rng import Rng
@@ -386,6 +387,18 @@ class TestGlobalLoss:
         _assert_student_fd(student, grad,
                            lambda: global_loss(student, offline, teacher, batch, u, s)[0])
 
+    @pytest.mark.parametrize("student_kind", ["callable", "student"])
+    def test_non_finite_loss_raises(self, student_kind):
+        # the value-only path once returned (nan, None) here instead of raising
+        nan_g = lambda t, s, X: np.full_like(X, np.nan)
+        data = sample_target(GAUSS1, 16, seed=35)
+        batch = draw_batch(data, LINEAR, 0.9, 3, seed=36)
+        student = nan_g if student_kind == "callable" else _student(sigma_data=0.5)
+        u = batch.t.copy()
+        s = np.full(3, 0.9)
+        with pytest.raises(RuntimeError, match="non-finite global loss"):
+            global_loss(student, nan_g, lambda t, u, X: X, batch, u, s, stop_time=0.9)
+
     def test_ordering_validated(self):
         data = sample_target(GAUSS1, 16, seed=35)
         batch = draw_batch(data, LINEAR, 0.9, 4, seed=36)
@@ -393,6 +406,99 @@ class TestGlobalLoss:
         with pytest.raises(ValueError):
             global_loss(student, student.copy(), lambda t, u, X: X, batch,
                         batch.t - 0.01, np.full(4, 0.9))
+
+
+def _reference_g(student, t, s, X, denoiser=False):
+    """g_apply (or student_denoiser) as written out before _GParts evaluated every g."""
+    m = X.shape[0]
+    t = np.broadcast_to(np.asarray(t, dtype=np.float64), (m,))
+    s = np.broadcast_to(np.asarray(s, dtype=np.float64), (m,))
+    spec = student.net.spec
+    ft = nets.time_features(t, spec.time_features, spec.fourier_k)
+    fs = nets.time_features(s, spec.time_features, spec.fourier_k)
+    if student.plain:
+        return nets.forward_batch(student.net, np.concatenate([ft, fs, X], axis=1))
+    c_in, c_skip, c_out, _, _ = denoiser_coeffs(student.schedule, t, student.sigma_data)
+    f = nets.forward_batch(student.net, np.concatenate([ft, fs, c_in[:, None] * X], axis=1))
+    d_s = c_skip[:, None] * X + c_out[:, None] * f
+    if denoiser:
+        return d_s
+    phi, psi = student.schedule.ei_coeffs(t, s)
+    return phi[:, None] * X + psi[:, None] * d_s
+
+
+def _feature_student(schedule, plain, features, d=2, seed=70):
+    f = nets.time_feature_dim(features, 3)
+    spec = NetSpec(2 * f + d, (16, 16), d, activation="silu", time_features=features, fourier_k=3)
+    student = StudentNet(net=net_init(spec, seed), schedule=schedule, stop_time=0.9,
+                         sigma_data=0.6, plain=plain)
+    student.net.params *= 2.0
+    return student
+
+
+class TestOneEvaluator:
+    """Every loss and sampler evaluates g through one object; the bits stay put."""
+
+    @pytest.mark.parametrize("schedule", [LINEAR, FOLLMER], ids=["linear", "follmer"])
+    @pytest.mark.parametrize("plain", [False, True], ids=["anchored", "plain"])
+    @pytest.mark.parametrize("features", ["raw", "fourier"])
+    def test_matches_the_written_out_formulas(self, schedule, plain, features):
+        student = _feature_student(schedule, plain, features)
+        rng = Rng(71)
+        t = 0.9 * rng.uniform(33)
+        t[:3] = (0.0, 0.9, 0.45)
+        s = t + (0.9 - t) * rng.uniform(33)
+        s[:3] = (0.0, 0.9, 0.45)
+        X = 1.5 * rng.normal((33, 2))
+        assert np.array_equal(g_apply(student, t, s, X), _reference_g(student, t, s, X))
+        if not plain:
+            assert np.array_equal(student_denoiser(student, t, s, X),
+                                  _reference_g(student, t, s, X, denoiser=True))
+
+    @pytest.mark.parametrize("plain", [False, True], ids=["anchored", "plain"])
+    def test_student_and_callable_give_the_same_loss(self, plain):
+        # a StudentNet and the callable wrapping its g_apply take one path to one value
+        student = _feature_student(FOLLMER, plain, "raw", d=1)
+        as_callable = lambda t, s, X: g_apply(student, t, s, X)
+        corpus = _gauss_corpus(m=8, K=6)
+        rng = Rng(72)
+        pairs = np.concatenate([rng.integers(8, (40,))[:, None],
+                                sample_index_pairs(rng, 40, 6)], axis=1)
+        triples = np.concatenate([rng.integers(8, (40,))[:, None],
+                                  np.sort(rng.integers(6, (40, 3)), axis=1)], axis=1)
+        for loss, rows in ((regression_loss, pairs), (semigroup_penalty, triples)):
+            value, grad = loss(student, corpus, rows)
+            assert grad is not None
+            assert loss(as_callable, corpus, rows) == (value, None)
+        if plain:
+            return
+        batch = draw_batch(sample_target(GAUSS1, 32, seed=73), FOLLMER, 0.9, 12, seed=74)
+        u = batch.t + (0.9 - batch.t) * rng.uniform(12)
+        s = u + (0.9 - u) * rng.uniform(12)
+        offline = _feature_student(FOLLMER, plain, "raw", d=1, seed=75)
+        teacher = lambda t, u, X: 0.9 * X
+        value, grad = global_loss(student, offline, teacher, batch, u, s)
+        assert grad is not None
+        off_callable = lambda t, s, X: g_apply(offline, t, s, X)
+        for pair in ((as_callable, offline), (student, off_callable), (as_callable, off_callable)):
+            assert global_loss(*pair, teacher, batch, u, s, stop_time=0.9) == (value, None)
+
+    @pytest.mark.parametrize("plain", [False, True], ids=["anchored", "plain"])
+    def test_sampling_keeps_no_forward_cache(self, monkeypatch, plain):
+        # a cache on the 8192-row one-step sample would hold every layer's arrays
+        flags = []
+        forward = nets.forward_batch
+
+        def spy(net, X, want_cache=False):
+            flags.append(want_cache)
+            return forward(net, X, want_cache=want_cache)
+
+        monkeypatch.setattr(nets, "forward_batch", spy)
+        student = _feature_student(LINEAR, plain, "raw")
+        g_apply(student, 0.1, 0.6, Rng(76).normal((5, 2)))
+        one_step(student, 64, 0.9, seed=77)
+        multi_step(student, [0.0, 0.3, 0.9], 64, seed=78)
+        assert len(flags) >= 4 and not any(flags)
 
 
 class TestSelfDistill:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from charflow.cli import main
+from charflow.config import SEED_MAX
 from charflow.metrics import load_reports
 from charflow.net import Net, NetSpec, load_net, net_init, save_net
 from charflow.target import load_points
@@ -254,6 +255,55 @@ def test_checkpoint_of_another_dimension_is_refused(workspace, tmp_path, capsys,
     assert "dimension 2" in lines[0] and "dimension 1" in lines[0]
     after = {name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)}
     assert after == before
+
+
+@pytest.mark.parametrize("command, sampler, ckpt", [("sample", "one-step", "student.ckpt"),
+                                                    ("sample", "euler", "field.ckpt"),
+                                                    ("train-cg", "one-step", "field.ckpt")])
+def test_checkpoint_of_the_other_role_is_refused(workspace, tmp_path, capsys,
+                                                 command, sampler, ckpt):
+    out = workspace[1]
+    cfg = tmp_path / "variant.ini"
+    cfg.write_text(TINY_PIPELINE.replace("[sample]\n", f"[sample]\nsampler = {sampler}\n"))
+    for step in ("gen-data", "train-velocity", "train-cg"):
+        assert _run(str(cfg), out, step) == 0
+    other = "field.ckpt" if ckpt == "student.ckpt" else "student.ckpt"
+    with open(os.path.join(out, other), "rb") as src, open(os.path.join(out, ckpt), "wb") as dst:
+        dst.write(src.read())
+    before = {name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)}
+    capsys.readouterr()
+    assert _run(str(cfg), out, command) == 2
+    lines = capsys.readouterr().err.splitlines()
+    hint = "train-cg" if ckpt == "student.ckpt" else "train-velocity"
+    assert len(lines) == 1 and os.path.join(out, ckpt) in lines[0], lines
+    assert f"not a {ckpt.split('.')[0]} checkpoint" in lines[0] and f"`charflow {hint}`" in lines[0]
+    after = {name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)}
+    assert after == before
+
+
+@pytest.mark.parametrize("seed", [-1, SEED_MAX + 1, 2**64 - 1])
+def test_seed_outside_the_u64_key_range_fails_with_one_line(workspace, capsys, seed):
+    cfg, out = workspace
+    assert _run(cfg, out, "gen-data", seed=seed) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: run.seed must lie in [0, {SEED_MAX}], got {seed}"]
+    assert not os.path.exists(out)
+
+
+def test_seed_from_the_config_file_is_bounded_too(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(TINY_PIPELINE + "\n[run]\nseed = -3\n")
+    assert _run(str(cfg), str(tmp_path / "out"), "gen-data") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: run.seed must lie in [0, {SEED_MAX}], got -3"]
+
+
+def test_largest_seed_runs(workspace):
+    # every purpose offset up to SEED_EVAL still fits the u64 Philox key
+    cfg, out = workspace
+    assert _run(cfg, out, "gen-data", seed=SEED_MAX) == 0
+    first = open(os.path.join(out, "holdout.csv")).readline()
+    assert first.startswith(f"# charflow 0.1.0 seed={SEED_MAX} config=")
 
 
 def _cli(cfg, out, command):
