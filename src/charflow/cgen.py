@@ -111,10 +111,10 @@ def _rows(t, s, x, stop_time):
     m = X.shape[0]
     t = np.broadcast_to(np.asarray(t, dtype=np.float64), (m,))
     s = np.broadcast_to(np.asarray(s, dtype=np.float64), (m,))
-    if np.any(s < t):
-        raise ValueError("g requires t <= s")
-    if np.any(t < 0.0) or np.any(s > stop_time + 1e-12):
+    if not (np.all(t >= 0.0) and np.all(s <= stop_time + 1e-12)):  # a NaN time fails here
         raise ValueError("times must lie in [0, stop_time]")
+    if not np.all(t <= s):
+        raise ValueError("g requires t <= s")
     return t, s, X
 
 
@@ -497,7 +497,7 @@ def multi_step(student: StudentNet, nodes, m: int, seed: int) -> np.ndarray:
         raise ValueError("nodes must list at least the two endpoints")
     if nodes[0] != 0.0:
         raise ValueError("nodes must start at 0")
-    if np.any(np.diff(nodes) <= 0.0):
+    if not np.all(np.diff(nodes) > 0.0):  # a NaN node fails here
         raise ValueError("nodes must be strictly increasing")
     if abs(nodes[-1] - student.stop_time) > 1e-12:
         raise ValueError("nodes must end at the student's stop time")

@@ -16,9 +16,11 @@ temporary file that replaces the old one only when complete.  Two runs with
 the same effective config produce bit-identical outputs.
 
 A bad run exits 2 with one ``error:`` line on stderr, never a traceback: a
-bad config (a float key out of its range included), a missing or damaged
+bad config (a float key out of its range, a non-finite float value or
+point or float-list entry, or a ``run.seed`` outside
+[0, ``config.SEED_MAX``] included; ``config.check_seed`` runs again after
+``--seed``), a missing or damaged
 input (a point file with no rows or a non-finite coordinate included), a
-``run.seed`` outside [0, ``config.SEED_MAX``] (from the file or ``--seed``), a
 checkpoint of the other role (a student's over ``field.ckpt`` or the reverse)
 or whose output dimension differs from the config's target (refused before
 the command writes its outputs), a training run that diverges (a
@@ -44,8 +46,9 @@ import sys
 import numpy as np
 
 from . import __version__, cgen, net as nets, sampler, velocity
-from .config import (SEED_CG, SEED_DATA, SEED_EVAL, SEED_HOLDOUT, SEED_MAX, SEED_SAMPLE, SEED_TRAJ,
-                     SEED_VELOCITY, RunConfig, config_hash, parse_config, serialize_config)
+from .config import (SEED_CG, SEED_DATA, SEED_EVAL, SEED_HOLDOUT, SEED_SAMPLE, SEED_TRAJ,
+                     SEED_VELOCITY, RunConfig, check_seed, config_hash, parse_config,
+                     serialize_config)
 from .fileio import atomic_open
 from .metrics import MetricReport, save_reports, sliced_w2, w2_exact, W2_EXACT_MAX_N
 from .net import NetSpec, load_net, save_net
@@ -328,8 +331,7 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg.sections["run"]["seed"] = args.seed
-        if not 0 <= cfg.seed <= SEED_MAX:
-            raise ValueError(f"run.seed must lie in [0, {SEED_MAX}], got {cfg.seed}")
+            check_seed(cfg)
         os.makedirs(args.out, exist_ok=True)
         _echo_config(cfg, args.out)
         return HANDLERS[args.command](cfg, args.out)

@@ -5,10 +5,10 @@ lines, ``#`` comments).  Every key has a declared type and default; unknown
 sections or keys are rejected by name, and parse -> serialize -> parse is
 the identity on effective configurations (serialization writes every key).
 Integer sizes and counts must be at least 1 and iteration counts at least
-0.  ``[run] seed`` is not bounded here: the CLI checks it lies in
-[0, ``SEED_MAX``] after applying ``--seed``, so one check covers the file
-value and the override.  Float keys with a range are checked
-against ``FLOAT_BOUNDS``, which no NaN passes.
+0; ``[run] seed`` must lie in [0, ``SEED_MAX``] (``check_seed``, which the
+CLI calls again after applying ``--seed``).  Float keys with a range are
+checked against ``FLOAT_BOUNDS``, and every float value, each entry of a
+point or float-list key included, must be finite.
 
 Point lists (mixture atoms, frame rows) are written as ';'-separated points
 with ','-separated coordinates, e.g. ``atoms = -1;1`` (1-D) or
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["RunConfig", "parse_config", "parse_config_text", "serialize_config", "config_hash",
-           "configs_equal", "SEED_DATA", "SEED_HOLDOUT", "SEED_VELOCITY", "SEED_TRAJ",
+           "check_seed", "SEED_DATA", "SEED_HOLDOUT", "SEED_VELOCITY", "SEED_TRAJ",
            "SEED_CG", "SEED_SAMPLE", "SEED_EVAL", "SEED_MAX"]
 
 SEED_DATA = 0
@@ -167,6 +167,16 @@ _PARSERS = {
     "ints": _parse_ints,
 }
 
+_FORMATTERS = {
+    "int": str,
+    "float": lambda v: repr(float(v)),
+    "bool": lambda v: "true" if v else "false",
+    "str": str,
+    "points": _format_points,
+    "floats": lambda v: ",".join(repr(float(x)) for x in v),
+    "ints": lambda v: ",".join(str(int(x)) for x in v),
+}
+
 
 @dataclass
 class RunConfig:
@@ -215,14 +225,25 @@ def parse_config(path) -> RunConfig:
         return parse_config_text(fh.read(), source=str(path))
 
 
+def check_seed(cfg: RunConfig):
+    """Refuse a run.seed for which some seed + purpose offset is not a u64 key."""
+    if not 0 <= cfg.seed <= SEED_MAX:
+        raise ValueError(f"run.seed must lie in [0, {SEED_MAX}], got {cfg.seed}")
+
+
 def _validate(cfg: RunConfig):
+    check_seed(cfg)
     for name, spec in SCHEMA.items():
         for key, (kind, _, _) in spec.items():
+            value = cfg[name][key]
+            if (kind in ("float", "points", "floats") and value is not None
+                    and not np.isfinite(value).all()):
+                raise ValueError(f"{name}.{key} must be finite, got {_FORMATTERS[kind](value)}")
             if kind != "int" or (name, key) == ("run", "seed"):
                 continue
             low = 0 if key == "iterations" else 1  # every other int key is a size or a count
-            if cfg[name][key] < low:
-                raise ValueError(f"{name}.{key} must be >= {low}, got {cfg[name][key]}")
+            if value < low:
+                raise ValueError(f"{name}.{key} must be >= {low}, got {value}")
     for keys, test, wording in FLOAT_BOUNDS:
         for dotted in keys:
             name, key = dotted.split(".")
@@ -245,39 +266,10 @@ def serialize_config(cfg: RunConfig) -> str:
     for name in SCHEMA:
         out.write(f"[{name}]\n")
         for key, (kind, _, _) in SCHEMA[name].items():
-            value = cfg[name][key]
-            if kind == "points":
-                text = _format_points(value)
-            elif kind in ("floats",):
-                text = ",".join(repr(float(v)) for v in value)
-            elif kind == "ints":
-                text = ",".join(str(int(v)) for v in value)
-            elif kind == "bool":
-                text = "true" if value else "false"
-            elif kind == "float":
-                text = repr(float(value))
-            else:
-                text = str(value)
-            out.write(f"{key} = {text}\n")
+            out.write(f"{key} = {_FORMATTERS[kind](cfg[name][key])}\n")
         out.write("\n")
     return out.getvalue()
 
 
 def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(serialize_config(cfg).encode("utf-8")).hexdigest()[:16]
-
-
-def configs_equal(a: RunConfig, b: RunConfig) -> bool:
-    if set(a.sections) != set(b.sections):
-        return False
-    for name, sec in a.sections.items():
-        for key, val in sec.items():
-            other = b.sections[name][key]
-            if isinstance(val, np.ndarray) or isinstance(other, np.ndarray):
-                if val is None or other is None:
-                    return False
-                if not np.array_equal(val, other):
-                    return False
-            elif val != other:
-                return False
-    return True

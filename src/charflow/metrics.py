@@ -12,8 +12,9 @@ package costs to import, and nothing else in the package needs it.
 ``w2_gaussian`` is the closed form between Gaussians and doubles as an
 independent calibration oracle for the empirical estimators.
 
-Metric reports serialize one record per line as space-separated key=value
-pairs (values via repr, so floats round-trip); '#' lines are comments.
+Metric reports are written one record per line as space-separated
+key=value pairs (values via repr, so floats round-trip) after one '#'
+provenance line.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "sliced_w2",
     "order_fit",
     "save_reports",
-    "load_reports",
 ]
 
 W2_EXACT_MAX_N = 4096
@@ -185,29 +185,9 @@ class MetricReport:
             parts.append(f"{key}={self.aux[key]!r}")
         return " ".join(parts)
 
-    @classmethod
-    def from_line(cls, line: str) -> "MetricReport":
-        fields = dict(item.split("=", 1) for item in line.split())
-        name = fields.pop("metric")
-        value = float(fields.pop("value"))
-        sizes = tuple(int(s) for s in fields.pop("sizes").split(",")) if "sizes" in fields else ()
-        seed = int(fields.pop("seed")) if "seed" in fields else None
-        aux = {k: float(v) for k, v in fields.items()}
-        return cls(name=name, value=value, sample_sizes=sizes, seed=seed, aux=aux)
-
 
 def save_reports(path, reports, provenance: str = "charflow"):
     with atomic_open(path) as fh:
         fh.write(f"# {provenance}\n")
         for rep in reports:
             fh.write(rep.to_line() + "\n")
-
-
-def load_reports(path):
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                out.append(MetricReport.from_line(line))
-    return out

@@ -74,8 +74,8 @@ class TargetSpec:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown target variant {self.variant!r}")
         if self.variant == "swiss_roll":
-            if self.swiss_noise < 0:
-                raise ValueError("swiss_noise must be nonnegative")
+            if not 0 <= self.swiss_noise < np.inf:  # NaN fails here
+                raise ValueError("swiss_noise must be finite and nonnegative")
             return
         atoms = as_points(self.atoms, "atoms")
         object.__setattr__(self, "atoms", atoms)
@@ -86,12 +86,15 @@ class TargetSpec:
         object.__setattr__(self, "weights", weights)
         if weights.shape != (atoms.shape[0],):
             raise ValueError("weights must have one entry per atom")
+        for name, arr in (("atoms", atoms), ("weights", weights)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(weights < 0):
             raise ValueError("weights must be nonnegative")
         if abs(float(weights.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive for mixture targets")
+        if not 0 < self.sigma < np.inf:  # NaN fails here
+            raise ValueError("sigma must be finite and positive for mixture targets")
         if self.variant == "embedded":
             if self.frame is None:
                 raise ValueError("embedded targets require a frame")
@@ -111,6 +114,8 @@ class TargetSpec:
 def _check_frame(frame: np.ndarray):
     if frame.ndim != 2:
         raise ValueError("frame must be a 2-D matrix")
+    if not np.isfinite(frame).all():
+        raise ValueError("frame must be finite")
     gram = frame.T @ frame
     dev = float(np.max(np.abs(gram - np.eye(frame.shape[1]))))
     if dev > FRAME_ORTHO_TOL:

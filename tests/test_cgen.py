@@ -88,6 +88,12 @@ class TestGApply:
         with pytest.raises(ValueError, match=r"t <= s"):
             g_apply(_student(), 0.5, 0.4, np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("t, s", [(0.0, np.nan), (np.nan, 0.5), (np.nan, np.nan)])
+    def test_nan_time_is_refused(self, t, s):
+        # a NaN time used to pass both checks and return NaN rows
+        with pytest.raises(ValueError, match=r"times must lie in \[0, stop_time\]"):
+            g_apply(_student(), t, s, np.zeros((2, 1)))
+
     def test_input_dim_invariant(self):
         with pytest.raises(ValueError):
             StudentNet(net=net_init(NetSpec(3, (4,), 2), 0), schedule=LINEAR, stop_time=0.9)
@@ -714,3 +720,8 @@ class TestSampling:
             multi_step(student, [0.0, 0.5, 0.5, 0.9], 4, seed=0)  # strictly increasing
         with pytest.raises(ValueError):
             multi_step(student, [0.0, 0.8], 4, seed=0)      # must end at stop time
+
+    def test_nan_node_is_refused(self):
+        # a NaN node used to reach the sampler, which blamed the state (t = nan)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            multi_step(_student(seed=53), [0.0, np.nan, 0.9], 4, seed=0)

@@ -7,7 +7,6 @@ import pytest
 
 from charflow.cli import main
 from charflow.config import SEED_MAX
-from charflow.metrics import load_reports
 from charflow.net import Net, NetSpec, load_net, net_init, save_net
 from charflow.target import load_points
 
@@ -51,6 +50,14 @@ def workspace(tmp_path):
     return str(cfg), str(out)
 
 
+def _report(path):
+    """(metric, value) of the first record in a report file."""
+    with open(path) as fh:
+        line = next(line for line in fh if not line.startswith("#"))
+    fields = dict(item.split("=", 1) for item in line.split())
+    return fields["metric"], float(fields["value"])
+
+
 def _run(cfg, out, command, seed=None):
     argv = [command, "--config", cfg, "--out", out]
     if seed is not None:
@@ -67,11 +74,10 @@ class TestPipeline:
                      "trajectories.bin", "student.ckpt", "loss_cg.csv", "samples.csv",
                      "sample_report.txt", "metrics.txt", "config.echo.ini"):
             assert os.path.exists(os.path.join(out, name)), name
-        reports = load_reports(os.path.join(out, "metrics.txt"))
-        assert reports[0].name == "w2_exact"
-        assert reports[0].value >= 0.0
-        nfe = load_reports(os.path.join(out, "sample_report.txt"))[0]
-        assert nfe.name == "nfe" and nfe.value == 1.0  # one-step sampling
+        name, value = _report(os.path.join(out, "metrics.txt"))
+        assert name == "w2_exact"
+        assert value >= 0.0
+        assert _report(os.path.join(out, "sample_report.txt")) == ("nfe", 1.0)  # one-step sampling
 
     def test_provenance_headers(self, workspace):
         cfg, out = workspace
@@ -115,8 +121,7 @@ class TestSampleVariants:
         cfg2.write_text(TINY_PIPELINE.replace("[sample]\nn = 64\n",
                                               "[sample]\nn = 64\nsampler = multi-step\nsteps = 4\n"))
         assert _run(str(cfg2), out, "sample") == 0
-        nfe = load_reports(os.path.join(out, "sample_report.txt"))[0]
-        assert nfe.value == 4.0
+        assert _report(os.path.join(out, "sample_report.txt")) == ("nfe", 4.0)
         samples = load_points(os.path.join(out, "samples.csv"))
         assert samples.shape == (64, 2)
 
@@ -130,7 +135,7 @@ class TestSampleVariants:
                 "[sample]\nn = 64\n",
                 f"[sample]\nn = 64\nsampler = {sampler}\nsteps = 12\n"))
             assert _run(str(cfg2), out, "sample") == 0
-            assert load_reports(os.path.join(out, "sample_report.txt"))[0].value == nfe
+            assert _report(os.path.join(out, "sample_report.txt")) == ("nfe", nfe)
 
 
 def test_verify_command(tmp_path, capsys):
@@ -338,6 +343,22 @@ def test_negative_learning_rate_fails_with_one_line(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "velocity.lr must be finite and > 0" in lines[0], proc.stderr
     assert not os.path.exists(os.path.join(out, "field.ckpt"))
+
+
+@pytest.mark.parametrize("entry, key", [("atoms = -1;nan", "target.atoms"),
+                                        ("atoms = -1;1\nweights = nan,1", "target.weights")],
+                         ids=["atoms", "weights"])
+def test_non_finite_config_value_fails_with_one_line(tmp_path, entry, key):
+    # before the check, both ran gen-data to exit 0: NaN rows, or every point from one atom
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(TINY_PIPELINE.replace("variant = swiss-roll",
+                                         f"variant = atomic\n{entry}\nsigma = 0.25"))
+    out = str(tmp_path / "out")
+    proc = _cli(cfg, out, "gen-data")
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and f"{key} must be finite, got " in lines[0], proc.stderr
+    assert not os.path.exists(os.path.join(out, "data.csv"))
 
 
 def test_finite_loss_blow_up_fails_with_one_line(tmp_path):

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from charflow.config import (config_hash, configs_equal, parse_config_text, serialize_config)
+from charflow.config import SEED_MAX, config_hash, parse_config_text, serialize_config
 
 MINIMAL_SWISS = """
 [target]
@@ -75,7 +77,7 @@ seed = 99
 """
         cfg = parse_config_text(text)
         again = parse_config_text(serialize_config(cfg))
-        assert configs_equal(cfg, again)
+        assert serialize_config(again) == serialize_config(cfg)
         assert config_hash(cfg) == config_hash(again)
 
     def test_round_trip_with_points(self):
@@ -87,7 +89,7 @@ sigma = 0.25
 """
         cfg = parse_config_text(text)
         again = parse_config_text(serialize_config(cfg))
-        assert configs_equal(cfg, again)
+        assert serialize_config(again) == serialize_config(cfg)
         assert np.array_equal(again["target"]["atoms"], np.array([[-1.0], [1.0]]))
 
     def test_hash_tracks_content(self):
@@ -113,8 +115,29 @@ class TestBounds:
         with pytest.raises(ValueError, match=rf"{section}\.iterations must be >= 0"):
             parse_config_text(f"[{section}]\niterations = -1\n")
 
-    def test_seed_is_not_bounded(self):
-        assert parse_config_text("[run]\nseed = -3\n").seed == -3
+    def test_seed_is_bounded(self):
+        # the CLI checks run.seed again after --seed; a library caller meets the same line
+        for seed in (-3, SEED_MAX + 1):
+            line = f"run.seed must lie in [0, {SEED_MAX}], got {seed}"
+            with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+                parse_config_text(f"[run]\nseed = {seed}\n")
+        assert parse_config_text(f"[run]\nseed = {SEED_MAX}\n").seed == SEED_MAX
+
+    @pytest.mark.parametrize("key, lines", [
+        ("target.atoms", "variant = atomic\natoms = -1;nan"),
+        ("target.atoms", "variant = atomic\natoms = 0,0;inf,1"),
+        ("target.weights", "variant = atomic\natoms = -1;1\nweights = nan,1"),
+        ("target.frame", "variant = embedded\natoms = 0,0;1,0\nframe = 1;nan"),
+        ("sample.nodes", "[sample]\nnodes = 0,nan,0.99"),
+        ("target.sigma", "sigma = inf"),
+        ("velocity.eps", "[velocity]\neps = inf"),
+    ], ids=["atoms-nan", "atoms-inf", "weights-nan", "frame-nan", "nodes-nan", "sigma-inf",
+            "eps-inf"])
+    def test_non_finite_values_rejected_by_name(self, key, lines):
+        # a NaN weight drew every point from one atom; a NaN atom or sigma = inf wrote
+        # non-finite rows
+        with pytest.raises(ValueError, match=f"^{re.escape(key)} must be finite, got "):
+            parse_config_text(f"[target]\n{lines}\n")
 
     @pytest.mark.parametrize("section, key, value", [
         ("velocity", "lr", "-1e-3"), ("velocity", "lr", "0"), ("velocity", "lr", "inf"),
@@ -152,3 +175,18 @@ clip_grad_norm = 0
     def test_default_config_hash_is_unchanged(self):
         # serialization feeds every artifact's provenance line; bounds must not move it
         assert config_hash(parse_config_text(MINIMAL_SWISS)) == "ddbb9e63fb397bce"
+
+    def test_point_and_float_list_config_hash_is_unchanged(self):
+        # serialization writes every kind through one formatter table; the text must not move
+        text = """
+[target]
+variant = embedded
+atoms = 0,0,0;1,0,0
+weights = 0.25,0.75
+sigma = 0.4
+frame = 1,0;0,1;0,0
+[sample]
+sampler = multi-step
+nodes = 0,0.5,0.99
+"""
+        assert config_hash(parse_config_text(text)) == "ec737be9ff8aef8f"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from charflow import metrics
-from charflow.metrics import (MetricReport, load_reports, order_fit, save_reports, sliced_w2,
+from charflow.metrics import (MetricReport, order_fit, save_reports, sliced_w2,
                               w2_exact, w2_gaussian)
 from charflow.rng import Rng
 
@@ -204,11 +204,10 @@ def test_report_round_trip(tmp_path):
     ]
     path = tmp_path / "metrics.txt"
     save_reports(path, reports, provenance="charflow test")
-    again = load_reports(path)
-    assert len(again) == 2
-    assert again[0].name == "w2_exact" and again[0].value == reports[0].value
-    assert again[0].sample_sizes == (2048, 2048) and again[0].seed == 7
-    assert again[1].aux == reports[1].aux
+    # values via repr, so each float reads back exactly; aux keys in sorted order
+    assert path.read_text() == ("# charflow test\n"
+                                "metric=w2_exact value=0.123456789012345 sizes=2048,2048 seed=7\n"
+                                "metric=order value=1.02 intercept=-0.5 r2=0.999 slope=1.02\n")
     with pytest.raises(ValueError):
         MetricReport(name="bad", value=float("nan"))
 

@@ -109,6 +109,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             TargetSpec(variant="atomic", atoms=np.array([[0.0]]), sigma=0.5, frame=np.eye(1))
 
+    @pytest.mark.parametrize("name, atoms, weights", [
+        ("atoms", [[-1.0], [np.nan]], None), ("atoms", [[-1.0], [np.inf]], None),
+        ("weights", [[-1.0], [1.0]], [np.nan, 1.0]),
+    ])
+    def test_non_finite_mixture_rejected(self, name, atoms, weights):
+        # a NaN weight passed the sign and sum checks and drew every point from the first atom
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            atomic_mixture(np.array(atoms), sigma=0.25, weights=weights)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scale_rejected(self, bad):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            atomic_mixture(np.array([[0.0]]), sigma=bad)
+        with pytest.raises(ValueError, match="swiss_noise must be finite"):
+            swiss_roll(noise=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_frame_rejected(self, bad):
+        frame = np.array([[1.0], [bad]])
+        with pytest.raises(ValueError, match="frame must be finite"):
+            embed_target(atomic_mixture(np.array([[0.0], [1.0]]), sigma=0.4), frame)
+        with pytest.raises(ValueError, match="frame must be finite"):
+            TargetSpec(variant="embedded", atoms=np.zeros((1, 2)), sigma=0.4, frame=frame)
+
 
 def test_csv_round_trip(tmp_path):
     pts = Rng(1).normal((37, 3))
