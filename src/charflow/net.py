@@ -30,7 +30,9 @@ shape and give them back when spent, so a training or sampling loop stops
 allocating after its first iteration; the free lists are dropped when the
 outermost block closes and nothing is kept after it.  Outside a block each
 work array is a fresh ``np.empty`` (the cache-free forward pass opens a
-block of its own, so it alternates between two buffers).  No function
+block of its own, so it alternates between two buffers).  The cache-free
+pass runs in consecutive slices of ``TILE_ROWS`` rows, so its work arrays
+are (min(m, TILE_ROWS), width) however many rows it is given.  No function
 returns an array that belongs to the pool: outputs, parameter gradients and
 input gradients are fresh arrays.  The exception is the forward cache, which
 holds pooled arrays until ``grad_batch`` spends it; inside a block a cache is
@@ -75,6 +77,9 @@ ACTIVATIONS = ("relu", "silu")
 TIME_FEATURE_KINDS = ("raw", "fourier")
 
 CHECKPOINT_MAGIC = b"CHARFLOW-NET-1\n"
+
+# rows per slice of the cache-free forward pass: its work arrays stay (2048, width)
+TILE_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -242,11 +247,19 @@ def forward_batch(net: Net, X: np.ndarray, want_cache: bool = False):
     With ``want_cache`` also returns the cache ``grad_batch`` consumes: per
     hidden layer the pre-activation, the activation and the SiLU sigmoid,
     each in its own work array.  Without it the bias and activation are
-    applied in place and the layers alternate between two work arrays.
+    applied in place and the layers alternate between two work arrays of
+    (min(m, TILE_ROWS), width): more than ``TILE_ROWS`` rows run slice by
+    slice, each slice's output written into its rows of the result.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.spec.input_dim:
         raise ValueError(f"input shape {X.shape} does not match input_dim {net.spec.input_dim}")
+    if not want_cache and X.shape[0] > TILE_ROWS:
+        out = np.empty((X.shape[0], net.spec.output_dim))
+        with buffer_pool():
+            for i in range(0, X.shape[0], TILE_ROWS):
+                out[i:i + TILE_ROWS] = forward_batch(net, X[i:i + TILE_ROWS])
+        return out
     pool = _POOL.get()
     if pool is None and not want_cache:
         with buffer_pool():

@@ -6,7 +6,7 @@ from charflow.cgen import (CgTrainConfig, StudentNet, g_apply, global_loss, loca
                            sample_index_pairs, self_distill_reference, semigroup_penalty,
                            student_denoiser, train_cg)
 from charflow import net as nets
-from charflow.net import Net, NetSpec, net_init
+from charflow.net import TILE_ROWS, Net, NetSpec, net_init
 from charflow.oracle import OracleContext, denoiser_exact, flow_exact, velocity_exact
 from charflow.rng import Rng
 from charflow.sampler import NonFiniteState, TimeGrid, push_samples
@@ -679,6 +679,17 @@ class TestSampling:
         student.eval_count = 0
         one_step(student, 8, 0.9, seed=3)
         assert student.eval_count == 1
+
+    def test_nfe_counts_g_calls_not_forward_tiles(self):
+        # each g evaluation runs forward_batch over three row tiles here
+        m = 2 * TILE_ROWS + 1
+        student = _student(seed=52)
+        student.eval_count = 0
+        one_step(student, m, 0.9, seed=3)
+        assert student.eval_count == 1
+        student.eval_count = 0
+        multi_step(student, [0.0, 0.3, 0.6, 0.9], m, seed=3)
+        assert student.eval_count == 3
 
     @pytest.mark.parametrize("plain", [False, True])
     @pytest.mark.parametrize("m", [0, 1, 5, 4097])

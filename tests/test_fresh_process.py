@@ -1,4 +1,4 @@
-"""What a fresh process pays: the modules it loads and the page faults of a training loop.
+"""What a fresh process pays: the modules it loads and the page faults of its loops.
 
 Each probe runs in its own interpreter, so earlier tests cannot have loaded a
 module or warmed the allocator for it.  The checks count modules and faults,
@@ -89,6 +89,27 @@ short = faults(20)
 print((faults(120) - short) / 100)
 """
 
+ONE_STEP_FAULT_PROBE = r"""
+import resource
+from charflow.cgen import StudentNet, one_step
+from charflow.net import NetSpec, net_init
+from charflow.schedule import Schedule
+
+spec = NetSpec(4, (64, 64), 2, activation="silu")
+student = StudentNet(net_init(spec, 1), Schedule("follmer"), 0.99)
+
+
+def faults(calls):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for k in range(calls):
+        one_step(student, 8192, 0.99, seed=k)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+short = faults(5)
+print((faults(25) - short) / 20)
+"""
+
 
 def _python(code, *args):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
@@ -112,3 +133,13 @@ def test_training_loop_steady_state_makes_few_page_faults():
     pytest.importorskip("resource")
     per_iteration = float(_python(FAULT_PROBE))
     assert per_iteration < 50, per_iteration
+
+
+def test_one_step_sampling_faults_in_only_tile_sized_work_arrays():
+    # each one_step call opens its own buffer pool, so its work arrays are
+    # faulted in on every call.  8192 rows through a 64x64 SiLU student: in
+    # 2048-row tiles 765 faults per call; one (8192, 64) pass made
+    # 1,318-1,765.  The bound leaves 30% over the tiled count.
+    pytest.importorskip("resource")
+    per_call = float(_python(ONE_STEP_FAULT_PROBE))
+    assert per_call < 1000, per_call

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from charflow import net as nets
-from charflow.net import (AdamState, Net, NetSpec, adam_step, buffer_pool, ema_update,
-                          forward_batch, grad_batch, lipschitz_bound, load_net, net_init,
-                          save_net, time_features)
+from charflow.net import (TILE_ROWS, AdamState, Net, NetSpec, adam_step, buffer_pool,
+                          ema_update, forward_batch, grad_batch, lipschitz_bound, load_net,
+                          net_init, save_net, time_features)
 from charflow.rng import Rng
 from charflow.sampler import TimeGrid, TrajectoryBatch, load_trajectories, save_trajectories
 
@@ -461,3 +461,46 @@ def test_a_spent_cache_is_refused_inside_a_pool_and_reusable_outside():
     for _ in range(2):
         again = grad_batch(net, X, upstream, cache=cache)
         assert [a.tobytes() for a in again] == [f.tobytes() for f in first]
+
+
+# (input_dim, hidden, output_dim, activation) of the shipped configs' generators:
+# Swiss roll, the 1-D two-atom mixture and the 16-D manifold mixture
+SHIPPED_SHAPES = [(4, (64, 64), 2, "silu"), (3, (64, 64), 1, "relu"), (18, (128, 128), 16, "silu")]
+SHIPPED_IDS = ["silu-4-64-64-2", "relu-3-64-64-1", "silu-18-128-128-16"]
+
+
+def _shipped_net(shape):
+    input_dim, hidden, output_dim, activation = shape
+    spec = NetSpec(input_dim, hidden, output_dim, activation=activation)
+    net = net_init(spec, 4)
+    net.params += 0.3 * Rng(5).normal((spec.param_count,))   # nonzero biases
+    return net
+
+
+def _rows_in(shape, m):
+    return 3.0 * Rng(6).normal((m, shape[0]))
+
+
+@pytest.mark.parametrize("shape", SHIPPED_SHAPES, ids=SHIPPED_IDS)
+def test_tiled_forward_equals_one_untiled_pass(shape):
+    net, X = _shipped_net(shape), _rows_in(shape, 4 * TILE_ROWS)
+    assert forward_batch(net, X).tobytes() == _alloc_forward(net, X)[0].tobytes()
+
+
+@pytest.mark.parametrize("shape", SHIPPED_SHAPES, ids=SHIPPED_IDS)
+def test_each_tile_equals_the_forward_pass_of_its_slice(shape):
+    net, X = _shipped_net(shape), _rows_in(shape, 3 * TILE_ROWS + 5)
+    out = forward_batch(net, X)
+    assert out.shape == (X.shape[0], net.spec.output_dim)
+    for i in range(0, X.shape[0], TILE_ROWS):
+        alone = forward_batch(net, X[i:i + TILE_ROWS])
+        assert out[i:i + TILE_ROWS].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("shape", SHIPPED_SHAPES, ids=SHIPPED_IDS)
+def test_tiled_forward_pools_only_tile_sized_work_arrays(shape):
+    net, X = _shipped_net(shape), _rows_in(shape, 4 * TILE_ROWS)
+    with buffer_pool():
+        forward_batch(net, X)
+        pooled = [a.shape for free in nets._POOL.get().values() for a in free]
+    assert pooled and max(rows for rows, _ in pooled) <= TILE_ROWS, pooled
