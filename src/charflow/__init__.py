@@ -9,7 +9,8 @@ Gaussian-smoothed atomic targets.
 __version__ = "0.1.0"
 
 from .schedule import Schedule, denoiser_coeffs, validate_schedule
-from .target import TargetSpec, as_points, atomic_mixture, embed_target, sample_target, swiss_roll
+from .target import (TargetSpec, as_points, as_times, atomic_mixture, embed_target, sample_target,
+                     swiss_roll)
 from .oracle import (OracleContext, denoiser_exact, flow_exact, gamma_coefficient,
                      manifold_decompose, score_exact, velocity_exact)
 from .net import AdamState, Net, NetSpec, adam_step, ema_update, net_init

@@ -51,7 +51,7 @@ from .net import AdamState, Net, NetSpec
 from .rng import Rng
 from .sampler import NonFiniteState, TrajectoryBatch, _ei_step, integrate
 from .schedule import Schedule, denoiser_coeffs
-from .target import as_points
+from .target import as_points, as_times
 from .velocity import (InterpolantBatch, denoiser_target, draw_batch, estimate_sigma_data, fit,
                        residual_loss)
 
@@ -109,8 +109,7 @@ class StudentNet:
 def _rows(t, s, x, stop_time):
     X = as_points(x, "x")
     m = X.shape[0]
-    t = np.broadcast_to(np.asarray(t, dtype=np.float64), (m,))
-    s = np.broadcast_to(np.asarray(s, dtype=np.float64), (m,))
+    t, s = as_times(t, m, "t"), as_times(s, m, "s")
     if not (np.all(t >= 0.0) and np.all(s <= stop_time + 1e-12)):  # a NaN time fails here
         raise ValueError("times must lie in [0, stop_time]")
     if not np.all(t <= s):
@@ -119,14 +118,10 @@ def _rows(t, s, x, stop_time):
 
 
 def _student_input(student: StudentNet, t, s, X):
-    spec = student.net.spec
-    ft = nets.time_features(t, spec.time_features, spec.fourier_k)
-    fs = nets.time_features(s, spec.time_features, spec.fourier_k)
     if student.plain:
-        return np.concatenate([ft, fs, X], axis=1), None
+        return nets.net_input(student.net.spec, (t, s), X), None
     c_in, c_skip, c_out, _, _ = denoiser_coeffs(student.schedule, t, student.sigma_data)
-    inp = np.concatenate([ft, fs, c_in[:, None] * X], axis=1)
-    return inp, (c_in, c_skip, c_out)
+    return nets.net_input(student.net.spec, (t, s), c_in[:, None] * X), (c_in, c_skip, c_out)
 
 
 def student_denoiser(student: StudentNet, t, s, x) -> np.ndarray:
@@ -287,9 +282,7 @@ def make_teacher_flow(denoiser, schedule: Schedule, steps: int):
 
     def flow(t, u, X):
         X = as_points(X, "X")
-        m = X.shape[0]
-        t = np.broadcast_to(np.asarray(t, dtype=np.float64), (m,))
-        u = np.broadcast_to(np.asarray(u, dtype=np.float64), (m,))
+        t, u = as_times(t, X.shape[0], "t"), as_times(u, X.shape[0], "u")
         if np.any(u < t):
             raise ValueError("teacher flow requires t <= u")
         return integrate(_ei_step(denoiser, schedule), X, t + (u - t) * fractions)
@@ -332,8 +325,7 @@ def global_loss(student, offline, teacher_flow, batch: InterpolantBatch, u, s,
     else:
         raise ValueError("stop_time is required when the student is a plain callable")
     t = batch.t
-    u = np.broadcast_to(np.asarray(u, dtype=np.float64), (m,))
-    s = np.broadcast_to(np.asarray(s, dtype=np.float64), (m,))
+    u, s = as_times(u, m, "u"), as_times(s, m, "s")
     if np.any(u < t) or np.any(s < u) or np.any(s > T + 1e-12):
         raise ValueError("global_loss requires t <= u <= s <= T")
     t_end = np.full(m, T)

@@ -61,6 +61,9 @@ COMMANDS = ("gen-data", "train-velocity", "train-cg", "sample", "eval", "verify"
 # the header keys each checkpoint's readers need; the other role's file lacks one of them
 CHECKPOINT_KEYS = {"field.ckpt": ("role", "schedule", "stop_time", "sigma_data"),
                    "student.ckpt": ("schedule", "stop_time", "sigma_data", "plain")}
+# the [velocity] and [cg] keys read here; every other key of those sections names a field of
+# TrainConfig or CgTrainConfig and reaches it as it is
+_OWN_KEYS = ("m", "steps", "hidden", "activation", "time_features", "fourier_k")
 
 
 def _provenance(cfg: RunConfig) -> str:
@@ -109,33 +112,28 @@ def cmd_gen_data(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-def _velocity_train_config(cfg: RunConfig, dim: int) -> TrainConfig:
-    vel = cfg["velocity"]
-    schedule = Schedule(cfg["schedule"]["kind"])
-    tf_dim = nets.time_feature_dim(vel["time_features"], vel["fourier_k"])
-    spec = NetSpec(tf_dim + dim, tuple(vel["hidden"]), dim, activation=vel["activation"],
-                   time_features=vel["time_features"], fourier_k=vel["fourier_k"])
-    return TrainConfig(
-        schedule=schedule, net_spec=spec, stop_time=vel["stop_time"],
-        iterations=vel["iterations"], batch_size=vel["batch_size"], lr=vel["lr"],
-        beta1=vel["beta1"], beta2=vel["beta2"], eps=vel["eps"],
-        seed=cfg.seed + SEED_VELOCITY, loss=vel["loss"],
-        clip_grad_norm=vel["clip_grad_norm"] or None,
-    )
+def _train_config(cls, cfg: RunConfig, name: str, n_times: int, dim: int, **fields):
+    """``cls`` from section ``name`` and ``fields``; its net reads n_times times and a dim-D state."""
+    section = cfg[name]
+    tf_dim = nets.time_feature_dim(section["time_features"], section["fourier_k"])
+    spec = NetSpec(n_times * tf_dim + dim, tuple(section["hidden"]), dim,
+                   activation=section["activation"], time_features=section["time_features"],
+                   fourier_k=section["fourier_k"])
+    own = {key: value for key, value in section.items() if key not in _OWN_KEYS}
+    return cls(schedule=Schedule(cfg["schedule"]["kind"]), net_spec=spec, **own, **fields)
 
 
 def cmd_train_velocity(cfg: RunConfig, out: str) -> int:
     data = load_points(_require(os.path.join(out, "data.csv"), "gen-data"))
-    tc = _velocity_train_config(cfg, data.shape[1])
-    sigma_data = estimate_sigma_data(data)
-    tc.sigma_data = sigma_data
+    tc = _train_config(TrainConfig, cfg, "velocity", 1, data.shape[1],
+                       seed=cfg.seed + SEED_VELOCITY, sigma_data=estimate_sigma_data(data))
     net, losses = velocity.train(tc, data)
     lip = nets.lipschitz_bound(net)
     extra = {
         "role": tc.loss,
         "schedule": cfg["schedule"]["kind"],
         "stop_time": tc.stop_time,
-        "sigma_data": sigma_data,
+        "sigma_data": tc.sigma_data,
         "lipschitz_bound": lip,
     }
     save_net(os.path.join(out, "field.ckpt"), net, extra, _provenance(cfg))
@@ -176,23 +174,10 @@ def _load_field(cfg: RunConfig, out: str):
 def cmd_train_cg(cfg: RunConfig, out: str) -> int:
     cgc = cfg["cg"]
     prov = _provenance(cfg)
-    schedule = Schedule(cfg["schedule"]["kind"])
     data = load_points(_require(os.path.join(out, "data.csv"), "gen-data"))
     dim = data.shape[1]
-    tf_dim = nets.time_feature_dim(cgc["time_features"], cgc["fourier_k"])
-    spec = NetSpec(2 * tf_dim + dim, tuple(cgc["hidden"]), dim, activation=cgc["activation"],
-                   time_features=cgc["time_features"], fourier_k=cgc["fourier_k"])
-    config = cgen.CgTrainConfig(
-        mode=cgc["mode"], schedule=schedule, net_spec=spec, stop_time=cgc["stop_time"],
-        iterations=cgc["iterations"], batch_size=cgc["batch_size"], lr=cgc["lr"],
-        seed=cfg.seed + SEED_CG, lambda_local=cgc["lambda_local"],
-        lambda_semigroup=cgc["lambda_semigroup"], ema_rate=cgc["ema_rate"],
-        pairs_per_particle=cgc["pairs_per_particle"],
-        triples_per_particle=cgc["triples_per_particle"], full_pairs=cgc["full_pairs"],
-        teacher_steps=cgc["teacher_steps"], plain=cgc["plain"],
-        sigma_data=estimate_sigma_data(data),
-        clip_grad_norm=cgc["clip_grad_norm"] or None,
-    )
+    config = _train_config(cgen.CgTrainConfig, cfg, "cg", 2, dim, seed=cfg.seed + SEED_CG,
+                           sigma_data=estimate_sigma_data(data))
     if config.mode == "regression":
         field, _, _, _, _ = _load_field(cfg, out)
         grid = sampler.TimeGrid(stop_time=cgc["stop_time"], steps=cgc["steps"])

@@ -13,10 +13,10 @@ reuses instead of recomputing it; without a cache the forward pass adds the
 bias and applies the activation in place.  Both paths give the same bits as
 ``z = h @ W.T + b`` followed by ``z * (1 / (1 + exp(-z)))`` or ``max(z, 0)``.
 
-Time conditioning is the caller's job: ``time_features`` embeds scalar times
-either raw or as Fourier pairs [sin(2*pi*k*t), cos(2*pi*k*t)], k = 1..K, and
-the velocity / generator modules concatenate those features with the state
-before calling ``forward_batch``.  Inputs are row batches (m, input_dim).
+``net_input`` builds the input of every time-conditioned net: the features
+of each time, then the state.  ``time_features`` embeds times either raw or
+as Fourier pairs [sin(2*pi*k*t), cos(2*pi*k*t)], k = 1..K.  Inputs are row
+batches (m, input_dim).
 
 Checkpoints and trajectory files share one binary frame (``write_frame`` /
 ``read_frame``): magic, provenance line, length-prefixed JSON header (here
@@ -53,6 +53,7 @@ import numpy as np
 
 from .fileio import atomic_open
 from .rng import Rng
+from .target import as_times
 
 __all__ = [
     "NetSpec",
@@ -61,6 +62,7 @@ __all__ = [
     "buffer_pool",
     "time_features",
     "time_feature_dim",
+    "net_input",
     "net_init",
     "forward_batch",
     "grad_batch",
@@ -143,6 +145,15 @@ def time_features(t, kind: str, fourier_k: int = 4) -> np.ndarray:
     k = np.arange(1, fourier_k + 1)
     ang = 2.0 * np.pi * t[:, None] * k[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+
+
+def net_input(spec: NetSpec, times, X: np.ndarray) -> np.ndarray:
+    """[features of each time, X] for the m rows of X; a scalar time is embedded once."""
+    m = X.shape[0]
+    feats = [time_features(t if np.ndim(t) == 0 else as_times(t, m), spec.time_features,
+                           spec.fourier_k) for t in times]
+    return np.concatenate([f if f.shape[0] == m else np.broadcast_to(f, (m, f.shape[1]))
+                           for f in feats] + [X], axis=1)
 
 
 def _unpack(net: Net, flat: np.ndarray | None = None):

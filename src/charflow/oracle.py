@@ -25,7 +25,9 @@ ground truth against which every learned or discretized flow is measured.
 the origin Gaussian target.
 
 All evaluators take a batch ``x`` of shape (m, d) (any other shape raises
-ValueError) and a scalar time or a per-row time array of shape (m,).
+ValueError) and a scalar time or a per-row time array of shape (m,)
+(``target.as_times``), and reads its coefficients and atom posterior from one
+``_posterior`` call.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .sampler import integrate
 from .schedule import Schedule
-from .target import TargetSpec, as_points, atomic_mixture
+from .target import TargetSpec, as_points, as_times, atomic_mixture
 
 __all__ = [
     "OracleContext",
@@ -63,33 +65,26 @@ class OracleContext:
             raise ValueError("oracles require a mixture target")
 
 
-def _times(t, m, allow_zero=True, allow_one=False):
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise ValueError("t must lie in [0, 1]")
-    if not allow_one and np.any(t >= 1.0):
+def _posterior(ctx: OracleContext, t, x, allow_zero: bool = True):
+    """One call's rows, coefficients (a, b, da, db), a^2 + sigma^2 b^2 and (m, J) atom posterior."""
+    X = as_points(x, "x")
+    t = as_times(t, X.shape[0])
+    if np.any(t >= 1.0):
         raise ValueError("t must be strictly below 1")
     if not allow_zero and np.any(t <= 0.0):
         raise ValueError("t must be strictly above 0")
-    return np.broadcast_to(t, (m,)).astype(np.float64)
-
-
-def _denominator(ctx, t):
-    a = ctx.schedule.alpha(t)
-    b = ctx.schedule.beta(t)
-    return a, b, a * a + ctx.spec.sigma**2 * b * b
-
-
-def posterior_atom_weights(ctx: OracleContext, t, x) -> np.ndarray:
-    """(m, J) posterior probabilities over atoms given X_t = x."""
-    X = as_points(x, "x")
-    t = _times(t, X.shape[0])
-    a, b, den = _denominator(ctx, t)
+    a, b, da, db = ctx.schedule.coeffs(t)
+    den = a * a + ctx.spec.sigma**2 * b * b
     diff = X[:, None, :] - b[:, None, None] * ctx.spec.atoms[None, :, :]
     logw = np.log(ctx.spec.weights)[None, :] - 0.5 * np.sum(diff * diff, axis=2) / den[:, None]
     logw -= logw.max(axis=1, keepdims=True)
     w = np.exp(logw)
-    return w / w.sum(axis=1, keepdims=True)
+    return X, a, b, da, db, den, w / w.sum(axis=1, keepdims=True)
+
+
+def posterior_atom_weights(ctx: OracleContext, t, x) -> np.ndarray:
+    """(m, J) posterior probabilities over atoms given X_t = x."""
+    return _posterior(ctx, t, x)[-1]
 
 
 def gamma_coefficient(schedule: Schedule, sigma: float, t):
@@ -98,45 +93,37 @@ def gamma_coefficient(schedule: Schedule, sigma: float, t):
     return (a * da + sigma * sigma * b * db) / (a * a + sigma * sigma * b * b)
 
 
+def _denoiser(ctx: OracleContext, post) -> np.ndarray:
+    """E[X_1 | X_t = x] from one ``_posterior`` result."""
+    X, a, b, _, _, den, w = post
+    s2 = ctx.spec.sigma**2
+    return (a * a / den)[:, None] * (w @ ctx.spec.atoms) + (s2 * b / den)[:, None] * X
+
+
 def denoiser_exact(ctx: OracleContext, t, x) -> np.ndarray:
     """E[X_1 | X_t = x] for the mixture target."""
-    X = as_points(x, "x")
-    t = _times(t, X.shape[0])
-    a, b, den = _denominator(ctx, t)
-    mean_u = posterior_atom_weights(ctx, t, X) @ ctx.spec.atoms
-    s2 = ctx.spec.sigma**2
-    return (a * a / den)[:, None] * mean_u + (s2 * b / den)[:, None] * X
+    return _denoiser(ctx, _posterior(ctx, t, x))
 
 
 def velocity_exact(ctx: OracleContext, t, x) -> np.ndarray:
     """Probability-flow velocity, in the cancellation-free mixture form."""
-    X = as_points(x, "x")
-    t = _times(t, X.shape[0])
-    a, b, den = _denominator(ctx, t)
-    da = ctx.schedule.dalpha(t)
-    db = ctx.schedule.dbeta(t)
+    X, a, b, da, db, den, w = _posterior(ctx, t, x)
     s2 = ctx.spec.sigma**2
-    mean_u = posterior_atom_weights(ctx, t, X) @ ctx.spec.atoms
     c_u = a * (a * db - da * b) / den
     gam = (a * da + s2 * b * db) / den
-    return c_u[:, None] * mean_u + gam[:, None] * X
+    return c_u[:, None] * (w @ ctx.spec.atoms) + gam[:, None] * X
 
 
 def score_exact(ctx: OracleContext, t, x) -> np.ndarray:
     """grad log rho_t(x) = (beta * E[X_1|X_t=x] - x)/alpha^2; singular at t = 0."""
-    X = as_points(x, "x")
-    t = _times(t, X.shape[0], allow_zero=False)
-    a = ctx.schedule.alpha(t)
-    b = ctx.schedule.beta(t)
-    return (b[:, None] * denoiser_exact(ctx, t, X) - X) / (a * a)[:, None]
+    post = _posterior(ctx, t, x, allow_zero=False)
+    X, a, b = post[:3]
+    return (b[:, None] * _denoiser(ctx, post) - X) / (a * a)[:, None]
 
 
 def conditional_cov_exact(ctx: OracleContext, t, x) -> np.ndarray:
     """cov(X_1 | X_t = x), one (d, d) matrix per input row."""
-    X = as_points(x, "x")
-    t = _times(t, X.shape[0])
-    a, _, den = _denominator(ctx, t)
-    w = posterior_atom_weights(ctx, t, X)
+    _, a, _, _, _, den, w = _posterior(ctx, t, x)
     atoms = ctx.spec.atoms
     mean_u = w @ atoms
     second = np.einsum("mj,jp,jq->mpq", w, atoms, atoms)
@@ -216,7 +203,7 @@ def manifold_decompose(ctx: OracleContext, t, x):
         raise ValueError("manifold_decompose requires an embedded target with a frame")
     P = ctx.spec.frame
     X = as_points(x, "x")
-    t = _times(t, X.shape[0])
+    t = as_times(t, X.shape[0])
     low_spec = atomic_mixture(ctx.spec.atoms @ P, sigma=ctx.spec.sigma, weights=ctx.spec.weights)
     low_ctx = OracleContext(low_spec, ctx.schedule)
     tangential = velocity_exact(low_ctx, t, X @ P) @ P.T

@@ -27,7 +27,7 @@ import numpy as np
 from .net import buffer_pool, read_frame, write_frame
 from .rng import stream_normals
 from .schedule import Schedule
-from .target import as_points
+from .target import as_points, as_times
 
 __all__ = [
     "NonFiniteState",
@@ -116,7 +116,7 @@ def integrate(step_fn, x0, nodes, record=None) -> np.ndarray:
             X = step_fn(nodes[k], nodes[k + 1], X)
             if not np.all(np.isfinite(X)):
                 bad_row = np.argmin(np.isfinite(X).all(axis=1))
-                t_bad = np.broadcast_to(nodes[k + 1], X.shape[:1])[bad_row]
+                t_bad = as_times(nodes[k + 1], X.shape[0], "nodes")[bad_row]
                 raise NonFiniteState(f"non-finite state at step {k + 1} (t = {t_bad:.6f})")
             if record is not None:
                 record[k + 1] = X

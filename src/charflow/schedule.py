@@ -45,7 +45,7 @@ KINDS = ("linear", "follmer")
 
 def _check_time_range(t, lo=0.0, hi=1.0, name="t"):
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t < lo) or np.any(t > hi):
+    if not (np.all(t >= lo) and np.all(t <= hi)):  # a NaN time fails here
         raise ValueError(f"{name} must lie in [{lo}, {hi}], got {t}")
     return t
 

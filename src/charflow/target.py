@@ -7,7 +7,8 @@ classical 2-D spiral: theta ~ Unif[1.5*pi, 4.5*pi], r = theta/(4.5*pi),
 point (r*cos(theta), r*sin(theta)) plus Gaussian noise, then a fixed affine
 rescale 1/(1 + 4*noise) so the support sits inside [-1, 1]^2.
 
-Every point set is an (m, d) array, checked by ``as_points``.  Point sets
+Every point set is an (m, d) array, checked by ``as_points``; a time is a
+scalar or one entry per row, made an (m,) view by ``as_times``.  Point sets
 serialize to CSV with one leading provenance comment line, then a header
 ``x0,...,x{d-1}``, one row per point; a row of the wrong width, a field that
 is not a number, a coordinate that is not finite or a file without rows fails
@@ -26,6 +27,7 @@ from .rng import Rng
 __all__ = [
     "TargetSpec",
     "as_points",
+    "as_times",
     "atomic_mixture",
     "swiss_roll",
     "embed_target",
@@ -51,6 +53,16 @@ def as_points(x, name: str = "points") -> np.ndarray:
     if x.ndim != 2:
         raise ValueError(f"{name} must be an (m, d) array, got shape {x.shape}")
     return x
+
+
+def as_times(t, m: int, name: str = "t") -> np.ndarray:
+    """A scalar or (m,) time as a read-only float64 (m,) view; other shapes raise ValueError."""
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim != 0 and t.shape != (m,):
+        raise ValueError(f"{name} must be a scalar or an ({m},) array, got shape {t.shape}")
+    t = np.broadcast_to(t, (m,)) if t.ndim == 0 else t.view()  # view() costs a third of broadcast_to
+    t.flags.writeable = False
+    return t
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from . import net as nets
 from .net import AdamState, Net, NetSpec
 from .rng import Rng
 from .schedule import Schedule, denoiser_coeffs
-from .target import as_points
+from .target import as_points, as_times
 
 __all__ = [
     "InterpolantBatch",
@@ -164,13 +164,6 @@ def draw_batch(data: np.ndarray, schedule: Schedule, T: float, m: int, seed: int
     return InterpolantBatch(t=t, x0=x0, x1=x1, xt=xt, yt=yt)
 
 
-def _net_input(net: Net, t, X) -> np.ndarray:
-    tf = nets.time_features(t, net.spec.time_features, net.spec.fourier_k)
-    if tf.shape[0] == 1 and X.shape[0] > 1:
-        tf = np.broadcast_to(tf, (X.shape[0], tf.shape[1]))
-    return np.concatenate([tf, X], axis=1)
-
-
 def residual_loss(net: Net, inp: np.ndarray, target: np.ndarray, name: str):
     """Mean over rows of ||net(inp) - target||^2 and its exact parameter gradient."""
     out, cache = nets.forward_batch(net, inp, want_cache=True)
@@ -190,7 +183,7 @@ def denoiser_target(x1: np.ndarray, xt: np.ndarray, c_skip: np.ndarray, c_out: n
 
 def velocity_loss(net: Net, batch: InterpolantBatch):
     """Mean squared velocity-matching residual and its exact parameter gradient."""
-    return residual_loss(net, _net_input(net, batch.t, batch.xt), batch.yt, "velocity")
+    return residual_loss(net, nets.net_input(net.spec, (batch.t,), batch.xt), batch.yt, "velocity")
 
 
 def denoiser_loss(net: Net, batch: InterpolantBatch, sigma_data: float, schedule: Schedule):
@@ -201,7 +194,7 @@ def denoiser_loss(net: Net, batch: InterpolantBatch, sigma_data: float, schedule
     denoiser D(t,x) = c_skip x + c_out F(c_noise, c_in x).
     """
     c_in, c_skip, c_out, c_noise, _ = denoiser_coeffs(schedule, batch.t, sigma_data)
-    inp = _net_input(net, c_noise, c_in[:, None] * batch.xt)
+    inp = nets.net_input(net.spec, (c_noise,), c_in[:, None] * batch.xt)
     return residual_loss(net, inp, denoiser_target(batch.x1, batch.xt, c_skip, c_out), "denoiser")
 
 
@@ -242,7 +235,7 @@ def velocity_from_denoiser(denoiser, schedule: Schedule, t, x) -> np.ndarray:
     t = 1 where alpha vanishes.
     """
     X = as_points(x, "x")
-    t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), (X.shape[0],))
+    t_arr = as_times(t, X.shape[0])
     dlog = schedule.dlog_alpha(t_arr)
     rate = schedule.rate(t_arr)
     return dlog[:, None] * X + rate[:, None] * as_points(denoiser(t, X), "denoiser output")
@@ -253,7 +246,7 @@ def make_velocity(net: Net):
 
     def field_fn(t, X):
         X = as_points(X, "X")
-        return nets.forward_batch(net, _net_input(net, t, X))
+        return nets.forward_batch(net, nets.net_input(net.spec, (t,), X))
 
     return field_fn
 
@@ -263,9 +256,9 @@ def make_denoiser(net: Net, schedule: Schedule, sigma_data: float):
 
     def denoiser_fn(t, X):
         X = as_points(X, "X")
-        t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), (X.shape[0],))
-        c_in, c_skip, c_out, c_noise, _ = denoiser_coeffs(schedule, t_arr, sigma_data)
-        pred = nets.forward_batch(net, _net_input(net, c_noise, c_in[:, None] * X))
+        c_in, c_skip, c_out, c_noise, _ = denoiser_coeffs(schedule, as_times(t, X.shape[0]),
+                                                          sigma_data)
+        pred = nets.forward_batch(net, nets.net_input(net.spec, (c_noise,), c_in[:, None] * X))
         return c_skip[:, None] * X + c_out[:, None] * pred
 
     return denoiser_fn

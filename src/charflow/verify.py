@@ -21,7 +21,7 @@ from .oracle import (OracleContext, denoiser_exact, gaussian_factors, manifold_d
                      score_exact, velocity_exact)
 from .rng import Rng
 from .schedule import Schedule, validate_schedule
-from .target import atomic_mixture, embed_target
+from .target import as_times, atomic_mixture, embed_target
 
 __all__ = ["CheckResult", "run_all", "trajectory_lookup"]
 
@@ -191,8 +191,7 @@ def trajectory_lookup(batch: sampler.TrajectoryBatch):
     nodes = batch.grid.nodes
 
     def lookup(t, s, X):
-        t = np.broadcast_to(np.asarray(t, dtype=np.float64), (X.shape[0],))
-        s = np.broadcast_to(np.asarray(s, dtype=np.float64), (X.shape[0],))
+        t, s = as_times(t, X.shape[0], "t"), as_times(s, X.shape[0], "s")
         out = np.empty_like(X)
         for r in range(X.shape[0]):
             k = int(np.argmin(np.abs(nodes - t[r])))

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -5,10 +6,14 @@ import sys
 import numpy as np
 import pytest
 
+from charflow import cli
+from charflow.cgen import CgTrainConfig
 from charflow.cli import main
-from charflow.config import SEED_MAX
+from charflow.config import SCHEMA, SEED_MAX, parse_config_text
 from charflow.net import Net, NetSpec, load_net, net_init, save_net
+from charflow.rng import Rng
 from charflow.target import load_points
+from charflow.velocity import TrainConfig, clip_gradient, train
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -399,3 +404,51 @@ def test_euler_sample_keeps_no_trajectory(tmp_path):
         tracemalloc.stop()
     assert load_points(os.path.join(out, "samples.csv")).shape == (4096, 16)
     assert peak < 16e6, peak
+
+
+SECTION_CONFIGS = {"velocity": (TrainConfig, 1), "cg": (CgTrainConfig, 2)}
+
+
+def _off_default(kind, default, allowed):
+    """A valid value of a schema key other than its default."""
+    if allowed is not None:
+        return next(value for value in allowed if value != default)
+    if kind == "float":
+        return float(np.nextafter(default, 0.0 if default > 0.0 else 1.0))
+    if kind == "ints":
+        return tuple(h + 1 for h in default)
+    return not default if kind == "bool" else default + 1
+
+
+@pytest.mark.parametrize("section", SECTION_CONFIGS)
+def test_each_section_key_is_a_config_field_or_read_by_the_cli(section):
+    fields = {field.name for field in dataclasses.fields(SECTION_CONFIGS[section][0])}
+    stray = [key for key in SCHEMA[section] if key not in fields and key not in cli._OWN_KEYS]
+    assert stray == []
+
+
+@pytest.mark.parametrize("section", SECTION_CONFIGS)
+def test_each_section_key_set_off_its_default_reaches_the_config(section):
+    cls, n_times = SECTION_CONFIGS[section]
+    for key, (kind, default, allowed) in SCHEMA[section].items():
+        if key in ("m", "steps"):  # the corpus size, read by train-cg itself
+            continue
+        cfg = parse_config_text("")
+        value = _off_default(kind, default, allowed)
+        cfg.sections[section][key] = value
+        built = cli._train_config(cls, cfg, section, n_times, 3, seed=0)
+        where = built.net_spec if key in cli._OWN_KEYS else built
+        name = {"hidden": "hidden_dims"}.get(key, key)
+        assert getattr(where, name) == value, key
+
+
+def test_a_zero_clip_norm_leaves_gradients_unclipped():
+    cfg = parse_config_text("")
+    tc = cli._train_config(TrainConfig, cfg, "velocity", 1, 2, seed=0)
+    assert tc.clip_grad_norm == 0.0
+    grad = np.full(4, 1e6)
+    assert clip_gradient(grad, tc.clip_grad_norm) is grad
+    data = Rng(3).normal((64, 2))
+    runs = [train(dataclasses.replace(tc, iterations=5, batch_size=16, clip_grad_norm=norm), data)
+            for norm in (0.0, None)]
+    assert runs[0][0].params.tobytes() == runs[1][0].params.tobytes()

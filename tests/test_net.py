@@ -6,7 +6,7 @@ import pytest
 from charflow import net as nets
 from charflow.net import (TILE_ROWS, AdamState, Net, NetSpec, adam_step, buffer_pool,
                           ema_update, forward_batch, grad_batch, lipschitz_bound, load_net,
-                          net_init, save_net, time_features)
+                          net_init, net_input, save_net, time_features)
 from charflow.rng import Rng
 from charflow.sampler import TimeGrid, TrajectoryBatch, load_trajectories, save_trajectories
 
@@ -229,6 +229,36 @@ class TestTimeFeatures:
         expected = [np.sin(np.pi / 2), np.sin(np.pi), np.cos(np.pi / 2), np.cos(np.pi)]
         assert f.shape == (1, 4)
         assert np.allclose(f[0], expected)
+
+
+def _one_time_input(spec, t, X):
+    """The one-time input as the velocity module built it by hand (reference)."""
+    tf = time_features(t, spec.time_features, spec.fourier_k)
+    if tf.shape[0] == 1 and X.shape[0] > 1:
+        tf = np.broadcast_to(tf, (X.shape[0], tf.shape[1]))
+    return np.concatenate([tf, X], axis=1)
+
+
+def _two_time_input(spec, t, s, X):
+    """The two-time input as the generator module built it from (m,) times (reference)."""
+    ft = time_features(t, spec.time_features, spec.fourier_k)
+    fs = time_features(s, spec.time_features, spec.fourier_k)
+    return np.concatenate([ft, fs, X], axis=1)
+
+
+@pytest.mark.parametrize("kind", ["raw", "fourier"])
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per-row"])
+def test_net_input_has_the_bits_of_the_hand_built_inputs(kind, per_row):
+    spec = NetSpec(1, (4,), 3, time_features=kind, fourier_k=3)
+    X = Rng(4).normal((5, 3))
+    t, s = (Rng(5).uniform(5), Rng(6).uniform(5)) if per_row else (0.3, 0.7)
+    one = net_input(spec, (t,), X)
+    assert one.tobytes() == _one_time_input(spec, t, X).tobytes()
+    t_rows, s_rows = np.broadcast_to(t, (5,)), np.broadcast_to(s, (5,))
+    two = net_input(spec, (t, s), X)
+    assert two.tobytes() == _two_time_input(spec, t_rows, s_rows, X).tobytes()
+    f = 1 if kind == "raw" else 6
+    assert one.shape == (5, f + 3) and two.shape == (5, 2 * f + 3)
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from charflow.oracle import (OracleContext, conditional_cov_exact, denoiser_exact, flow_exact,
-                             gamma_coefficient, manifold_decompose, score_exact, velocity_exact)
+                             gamma_coefficient, manifold_decompose, posterior_atom_weights,
+                             score_exact, velocity_exact)
 from charflow.rng import Rng
 from charflow.schedule import Schedule
 from charflow.target import atomic_mixture, embed_target, swiss_roll
+from charflow.verify import _families
 
 LINEAR = Schedule("linear")
 FOLLMER = Schedule("follmer")
@@ -286,3 +288,43 @@ class TestRegularityBounds:
 def test_swiss_roll_has_no_oracle():
     with pytest.raises(ValueError):
         OracleContext(swiss_roll(), LINEAR)
+
+
+def _oracles_by_formula(ctx, t, X):
+    """Reference: each evaluator's formula over alpha, beta, dalpha and dbeta called one by one."""
+    t = np.broadcast_to(np.asarray(t, dtype=np.float64), (X.shape[0],)).astype(np.float64)
+    sched, atoms, s2 = ctx.schedule, ctx.spec.atoms, ctx.spec.sigma**2
+    a, b = sched.alpha(t), sched.beta(t)
+    den = a * a + ctx.spec.sigma**2 * b * b
+    diff = X[:, None, :] - b[:, None, None] * atoms[None, :, :]
+    logw = np.log(ctx.spec.weights)[None, :] - 0.5 * np.sum(diff * diff, axis=2) / den[:, None]
+    logw -= logw.max(axis=1, keepdims=True)
+    w = np.exp(logw)
+    w = w / w.sum(axis=1, keepdims=True)
+    mean_u = w @ atoms
+    denoiser = (a * a / den)[:, None] * mean_u + (s2 * b / den)[:, None] * X
+    da, db = sched.dalpha(t), sched.dbeta(t)
+    c_u = a * (a * db - da * b) / den
+    gam = (a * da + s2 * b * db) / den
+    second = np.einsum("mj,jp,jq->mpq", w, atoms, atoms)
+    cov_u = second - np.einsum("mp,mq->mpq", mean_u, mean_u)
+    ratio = (a * a / den)[:, None, None]
+    gauss = (ctx.spec.sigma**2 * a * a / den)[:, None, None]
+    return {
+        posterior_atom_weights: w,
+        denoiser_exact: denoiser,
+        velocity_exact: c_u[:, None] * mean_u + gam[:, None] * X,
+        score_exact: (b[:, None] * denoiser - X) / (a * a)[:, None],
+        conditional_cov_exact: ratio * ratio * cov_u + gauss * np.eye(ctx.spec.dim)[None, :, :],
+    }
+
+
+@pytest.mark.parametrize("family", range(3))
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per-row"])
+def test_evaluators_have_the_bits_of_their_formulas(family, per_row):
+    spec, schedule = _families()[family]
+    ctx = OracleContext(spec, schedule)
+    X = 1.5 * Rng(8).normal((40, spec.dim))
+    t = 0.05 + 0.9 * Rng(9).uniform(40) if per_row else 0.6
+    for fn, expected in _oracles_by_formula(ctx, t, X).items():
+        assert fn(ctx, t, X).tobytes() == expected.tobytes(), fn.__name__
