@@ -21,8 +21,7 @@ os.makedirs(OUT, exist_ok=True)
 
 print("== validation of the interpolant conditions (grid of 101 points)")
 for kind in ("linear", "follmer"):
-    report = validate_schedule(Schedule(kind), 101)
-    for clause, ok, worst in report.rows():
+    for clause, ok, worst in validate_schedule(Schedule(kind), 101):
         print(f"  {kind:8s} {clause:40s} {'ok' if ok else 'FAIL'} (worst {worst:+.2e})")
 
 print("\n== exponential-integrator kernels")

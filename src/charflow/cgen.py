@@ -51,7 +51,7 @@ from .net import AdamState, Net, NetSpec
 from .rng import Rng
 from .sampler import NonFiniteState, TrajectoryBatch, _ei_step, integrate
 from .schedule import Schedule, denoiser_coeffs
-from .target import as_points, as_times
+from .target import as_points, as_times, as_times_or_scalar
 from .velocity import (InterpolantBatch, denoiser_target, draw_batch, estimate_sigma_data, fit,
                        residual_loss)
 
@@ -82,7 +82,6 @@ class StudentNet:
     stop_time: float
     sigma_data: float = 1.0
     plain: bool = False
-    eval_count: int = 0  # incremented per g_apply call (NFE accounting)
 
     def __post_init__(self):
         spec = self.net.spec
@@ -109,7 +108,7 @@ class StudentNet:
 def _rows(t, s, x, stop_time):
     X = as_points(x, "x")
     m = X.shape[0]
-    t, s = as_times(t, m, "t"), as_times(s, m, "s")
+    t, s = as_times_or_scalar(t, m, "t"), as_times_or_scalar(s, m, "s")
     if not (np.all(t >= 0.0) and np.all(s <= stop_time + 1e-12)):  # a NaN time fails here
         raise ValueError("times must lie in [0, stop_time]")
     if not np.all(t <= s):
@@ -121,7 +120,7 @@ def _student_input(student: StudentNet, t, s, X):
     if student.plain:
         return nets.net_input(student.net.spec, (t, s), X), None
     c_in, c_skip, c_out, _, _ = denoiser_coeffs(student.schedule, t, student.sigma_data)
-    return nets.net_input(student.net.spec, (t, s), c_in[:, None] * X), (c_in, c_skip, c_out)
+    return nets.net_input(student.net.spec, (t, s), c_in[..., None] * X), (c_in, c_skip, c_out)
 
 
 def student_denoiser(student: StudentNet, t, s, x) -> np.ndarray:
@@ -135,7 +134,6 @@ def student_denoiser(student: StudentNet, t, s, x) -> np.ndarray:
 def g_apply(student: StudentNet, t, s, x) -> np.ndarray:
     """Evaluate the two-time flow map g(t, s, x) on a batch x (m, d)."""
     t, s, X = _rows(t, s, x, student.stop_time)
-    student.eval_count += 1
     return _GParts(student, t, s, X, want_cache=False).out
 
 
@@ -164,8 +162,8 @@ class _GParts:
             return
         self.phi, self.psi = g.schedule.ei_coeffs(t, s)
         _, c_skip, c_out = self.coeffs
-        self.d_s = c_skip[:, None] * X + c_out[:, None] * f_out
-        self.out = self.phi[:, None] * X + self.psi[:, None] * self.d_s
+        self.d_s = c_skip[..., None] * X + c_out[..., None] * f_out
+        self.out = self.phi[..., None] * X + self.psi[..., None] * self.d_s
 
     def vjp(self, upstream, want_input: bool = False):
         """Gradient of sum_i <upstream_i, g_i> w.r.t. params (and inputs x)."""
@@ -174,11 +172,12 @@ class _GParts:
             pg, ig = nets.grad_batch(self.student.net, self.inp, upstream, cache=self.cache)
             return pg, (ig[:, -d:] if want_input else None)
         c_in, c_skip, c_out = self.coeffs
-        up_f = (self.psi * c_out)[:, None] * upstream
+        up_f = (self.psi * c_out)[..., None] * upstream
         pg, ig = nets.grad_batch(self.student.net, self.inp, up_f, cache=self.cache)
         input_grad = None
         if want_input:
-            input_grad = (self.phi + self.psi * c_skip)[:, None] * upstream + c_in[:, None] * ig[:, -d:]
+            input_grad = ((self.phi + self.psi * c_skip)[..., None] * upstream
+                          + c_in[..., None] * ig[:, -d:])
         return pg, input_grad
 
 

@@ -222,14 +222,14 @@ def cmd_sample(cfg: RunConfig, out: str) -> int:
     reports = []
     if smp["sampler"] in ("one-step", "multi-step"):
         student = _load_student(cfg, out)
-        student.eval_count = 0
         if smp["sampler"] == "one-step":
+            nodes = (0.0, student.stop_time)
             points = cgen.one_step(student, n, student.stop_time, seed)
         else:
             nodes = np.asarray(smp["nodes"]) if smp["nodes"] else np.linspace(
                 0.0, student.stop_time, smp["steps"] + 1)
             points = cgen.multi_step(student, nodes, n, seed)
-        nfe = student.eval_count
+        nfe = len(nodes) - 1  # one g evaluation per segment
     else:
         field, denoiser, schedule, extra, field_net = _load_field(cfg, out)
         grid = sampler.TimeGrid(stop_time=extra["stop_time"], steps=smp["steps"])

@@ -155,6 +155,7 @@ FLOAT_BOUNDS = [
     (("velocity.beta1", "velocity.beta2", "cg.ema_rate"), lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
     (("velocity.clip_grad_norm", "cg.clip_grad_norm", "cg.lambda_local", "cg.lambda_semigroup",
       "target.swiss_noise"), lambda v: v >= 0.0, "must be >= 0"),
+    (("velocity.stop_time", "cg.stop_time"), lambda v: 0.5 < v < 1.0, "must lie in (0.5, 1)"),
 ]
 
 _PARSERS = {
@@ -254,10 +255,6 @@ def _validate(cfg: RunConfig):
         raise ValueError("mixture targets require target.atoms")
     if tgt["variant"] == "embedded" and tgt["frame"] is None:
         raise ValueError("embedded targets require target.frame")
-    for section in ("velocity", "cg"):
-        T = cfg[section]["stop_time"]
-        if not 0.5 < T < 1.0:
-            raise ValueError(f"{section}.stop_time must lie in (0.5, 1)")
 
 
 def serialize_config(cfg: RunConfig) -> str:

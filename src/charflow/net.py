@@ -23,22 +23,22 @@ Checkpoints and trajectory files share one binary frame (``write_frame`` /
 the spec plus caller extras), then a little-endian float64 body (here the
 parameters).  Checkpoints round-trip bit-exactly.
 
-Work arrays come from ``buffer_pool``.  While a ``with buffer_pool():`` block
-is open, ``forward_batch``, ``grad_batch``, ``adam_step`` and ``ema_update``
-take their (m, width) and parameter-sized work arrays from a free list per
-shape and give them back when spent, so a training or sampling loop stops
+Work arrays come from ``buffer_pool``.  Only the loops open a block: the
+training loop ``velocity.fit`` and the sampling loop ``sampler.integrate``.
+While a block is open, ``forward_batch``, ``grad_batch``, ``adam_step`` and
+``ema_update`` take their (m, width) and parameter-sized work arrays from a
+free list per shape and give them back when spent, so the loop stops
 allocating after its first iteration; the free lists are dropped when the
 outermost block closes and nothing is kept after it.  Outside a block each
-work array is a fresh ``np.empty`` (the cache-free forward pass opens a
-block of its own, so it alternates between two buffers).  The cache-free
-pass runs in consecutive slices of ``TILE_ROWS`` rows, so its work arrays
-are (min(m, TILE_ROWS), width) however many rows it is given.  No function
+work array is a fresh ``np.empty``.  The cache-free pass runs in
+consecutive slices of ``TILE_ROWS`` rows, so its work arrays are
+(min(m, TILE_ROWS), width) however many rows it is given.  No function
 returns an array that belongs to the pool: outputs, parameter gradients and
-input gradients are fresh arrays.  The exception is the forward cache, which
-holds pooled arrays until ``grad_batch`` spends it; inside a block a cache is
-single-use, and passing a spent one raises ValueError.  Outside a block a
-cache can be passed any number of times.  Pooled or not, every result has
-the same bits, because the same operations run in the same order.
+input gradients are fresh arrays.  The exception is the forward cache,
+which holds its work arrays until ``grad_batch`` spends it: a cache feeds
+one backward pass, inside a block or outside, and passing a spent one
+raises ValueError.  Pooled or not, every result has the same bits, because
+the same operations run in the same order.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import numpy as np
 
 from .fileio import atomic_open
 from .rng import Rng
-from .target import as_times
+from .target import as_times_or_scalar
 
 __all__ = [
     "NetSpec",
@@ -150,8 +150,8 @@ def time_features(t, kind: str, fourier_k: int = 4) -> np.ndarray:
 def net_input(spec: NetSpec, times, X: np.ndarray) -> np.ndarray:
     """[features of each time, X] for the m rows of X; a scalar time is embedded once."""
     m = X.shape[0]
-    feats = [time_features(t if np.ndim(t) == 0 else as_times(t, m), spec.time_features,
-                           spec.fourier_k) for t in times]
+    feats = [time_features(as_times_or_scalar(t, m), spec.time_features, spec.fourier_k)
+             for t in times]
     return np.concatenate([f if f.shape[0] == m else np.broadcast_to(f, (m, f.shape[1]))
                            for f in feats] + [X], axis=1)
 
@@ -267,14 +267,10 @@ def forward_batch(net: Net, X: np.ndarray, want_cache: bool = False):
         raise ValueError(f"input shape {X.shape} does not match input_dim {net.spec.input_dim}")
     if not want_cache and X.shape[0] > TILE_ROWS:
         out = np.empty((X.shape[0], net.spec.output_dim))
-        with buffer_pool():
-            for i in range(0, X.shape[0], TILE_ROWS):
-                out[i:i + TILE_ROWS] = forward_batch(net, X[i:i + TILE_ROWS])
+        for i in range(0, X.shape[0], TILE_ROWS):
+            out[i:i + TILE_ROWS] = forward_batch(net, X[i:i + TILE_ROWS])
         return out
     pool = _POOL.get()
-    if pool is None and not want_cache:
-        with buffer_pool():
-            return forward_batch(net, X)
     layers = _unpack(net)
     silu = net.spec.activation == "silu"
     h = X
@@ -303,26 +299,24 @@ def forward_batch(net: Net, X: np.ndarray, want_cache: bool = False):
     return out
 
 
-def grad_batch(net: Net, X: np.ndarray, upstream: np.ndarray, cache=None):
+def grad_batch(net: Net, X: np.ndarray, upstream: np.ndarray, cache):
     """Reverse-mode gradients of sum_i <upstream_i, f(X_i)>.
 
     Returns ``(param_grad, input_grads)`` where param_grad is the flat
     gradient summed over the batch (fixed accumulation order: one matmul per
     layer, written straight into its slice of the flat vector) and
-    input_grads has one row per input; both are fresh arrays.  Pass the
-    cache from ``forward_batch(..., want_cache=True)`` to skip the
-    re-forward.  A cache made inside a ``buffer_pool`` block goes back to the
-    pool here, and passing it again raises ValueError.
+    input_grads has one row per input; both are fresh arrays.  ``cache`` is
+    what ``forward_batch(net, X, want_cache=True)`` returned: it feeds this
+    one backward pass, its arrays go back to the pool if one is open, and
+    passing it again raises ValueError.
     """
     X = np.asarray(X, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (X.shape[0], net.spec.output_dim):
         raise ValueError(f"upstream shape {upstream.shape} does not match output_dim")
-    if cache is None:
-        _, cache = forward_batch(net, X, want_cache=True)
     if cache.pre is None:
-        raise ValueError("this forward cache was already spent by grad_batch inside a "
-                         "buffer pool; run forward_batch again")
+        raise ValueError("this forward cache was already spent by grad_batch; "
+                         "run forward_batch again")
     pre, post, sigs, pool = cache.pre, cache.post, cache.sigs, cache.pool
     layers = _unpack(net)
     param_grad = np.empty(net.spec.param_count)
@@ -341,9 +335,8 @@ def grad_batch(net: Net, X: np.ndarray, upstream: np.ndarray, cache=None):
             below *= act
             _give(pool, act)
         delta = below
-    if pool is not None:
-        _give(pool, *pre, *post[1:], *(s for s in sigs if s is not None))
-        cache.pre = cache.post = cache.sigs = None
+    _give(pool, *pre, *post[1:], *(s for s in sigs if s is not None))
+    cache.pre = cache.post = cache.sigs = None
     return param_grad, delta
 
 
@@ -365,14 +358,12 @@ class AdamState:
 
 
 def adam_step(state: AdamState, net: Net, grad: np.ndarray):
-    """One Adam update with bias correction; mutates state and net in place."""
+    """One Adam update with bias correction; mutates state (moments from ``for_net``) and net."""
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != net.params.shape:
         raise ValueError("gradient length must match parameter count")
     if not np.all(np.isfinite(grad)):
         raise RuntimeError("non-finite gradient entries; training aborted")
-    if state.m is None:
-        state.for_net(net)
     state.step += 1
     # in place, as m <- b1 m + (1 - b1) g, v <- b2 v + ((1 - b2) g) g and
     # params <- params - (lr mhat) / (sqrt(vhat) + eps), operation for operation

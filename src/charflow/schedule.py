@@ -35,7 +35,6 @@ import numpy as np
 
 __all__ = [
     "Schedule",
-    "ScheduleValidation",
     "denoiser_coeffs",
     "validate_schedule",
 ]
@@ -180,51 +179,24 @@ def denoiser_coeffs(schedule: Schedule, t, sigma_data: float):
     return c_in, c_skip, c_out, c_noise, omega
 
 
-@dataclass(frozen=True)
-class ScheduleValidation:
-    """Per-clause outcome of the boundary/positivity/monotonicity checks."""
+def validate_schedule(schedule: Schedule, grid_size: int) -> list:
+    """Check the interpolant conditions on a uniform grid over [0, 1].
 
-    kind: str
-    grid_size: int
-    boundary_ok: bool
-    boundary_violation: float
-    positivity_ok: bool
-    positivity_margin: float
-    monotone_ok: bool
-    monotone_violation: float
-
-    @property
-    def all_ok(self) -> bool:
-        return self.boundary_ok and self.positivity_ok and self.monotone_ok
-
-    def rows(self):
-        return [
-            ("alpha(0)=beta(1)=1, alpha(1)=beta(0)=0", self.boundary_ok, self.boundary_violation),
-            ("alpha^2+beta^2 > 0 on grid", self.positivity_ok, self.positivity_margin),
-            ("alpha decreasing, beta increasing", self.monotone_ok, self.monotone_violation),
-        ]
-
-
-def validate_schedule(schedule: Schedule, grid_size: int) -> ScheduleValidation:
-    """Check the interpolant conditions on a uniform grid over [0, 1]."""
+    Returns one (clause, ok, worst) row per condition: the boundary values
+    (worst absolute error), alpha^2 + beta^2 > 0 (smallest value) and the
+    monotonicity of alpha and beta (largest step against it).
+    """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     t = np.linspace(0.0, 1.0, grid_size)
     a, b = schedule.alpha(t), schedule.beta(t)
-    boundary_violation = max(
-        abs(float(a[0]) - 1.0), abs(float(b[-1]) - 1.0), abs(float(a[-1])), abs(float(b[0]))
-    )
-    positivity_margin = float(np.min(a * a + b * b))
-    da = np.diff(a)
-    db = np.diff(b)
-    monotone_violation = max(float(np.max(da, initial=-np.inf)), float(np.max(-db, initial=-np.inf)))
-    return ScheduleValidation(
-        kind=schedule.kind,
-        grid_size=grid_size,
-        boundary_ok=boundary_violation == 0.0,
-        boundary_violation=boundary_violation,
-        positivity_ok=positivity_margin > 0.0,
-        positivity_margin=positivity_margin,
-        monotone_ok=monotone_violation < 0.0,
-        monotone_violation=monotone_violation,
-    )
+    boundary = max(abs(float(a[0]) - 1.0), abs(float(b[-1]) - 1.0), abs(float(a[-1])),
+                   abs(float(b[0])))
+    positivity = float(np.min(a * a + b * b))
+    monotone = max(float(np.max(np.diff(a), initial=-np.inf)),
+                   float(np.max(-np.diff(b), initial=-np.inf)))
+    return [
+        ("alpha(0)=beta(1)=1, alpha(1)=beta(0)=0", boundary == 0.0, boundary),
+        ("alpha^2+beta^2 > 0 on grid", positivity > 0.0, positivity),
+        ("alpha decreasing, beta increasing", monotone < 0.0, monotone),
+    ]

@@ -8,11 +8,12 @@ point (r*cos(theta), r*sin(theta)) plus Gaussian noise, then a fixed affine
 rescale 1/(1 + 4*noise) so the support sits inside [-1, 1]^2.
 
 Every point set is an (m, d) array, checked by ``as_points``; a time is a
-scalar or one entry per row, made an (m,) view by ``as_times``.  Point sets
-serialize to CSV with one leading provenance comment line, then a header
-``x0,...,x{d-1}``, one row per point; a row of the wrong width, a field that
-is not a number, a coordinate that is not finite or a file without rows fails
-to load naming the file.
+scalar or one entry per row, made an (m,) view by ``as_times``
+(``as_times_or_scalar`` keeps a scalar, so a solver step evaluates the
+schedule once).  Point sets serialize to CSV with one leading provenance
+comment line, then a header ``x0,...,x{d-1}``, one row per point; a row of
+the wrong width, a field that is not a number, a coordinate that is not
+finite or a file without rows fails to load naming the file.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "TargetSpec",
     "as_points",
     "as_times",
+    "as_times_or_scalar",
     "atomic_mixture",
     "swiss_roll",
     "embed_target",
@@ -63,6 +65,11 @@ def as_times(t, m: int, name: str = "t") -> np.ndarray:
     t = np.broadcast_to(t, (m,)) if t.ndim == 0 else t.view()  # view() costs a third of broadcast_to
     t.flags.writeable = False
     return t
+
+
+def as_times_or_scalar(t, m: int, name: str = "t"):
+    """A scalar time as it is (one step's time, shared by the m rows); else ``as_times``."""
+    return t if np.ndim(t) == 0 else as_times(t, m, name)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from . import net as nets
 from .net import AdamState, Net, NetSpec
 from .rng import Rng
 from .schedule import Schedule, denoiser_coeffs
-from .target import as_points, as_times
+from .target import as_points, as_times_or_scalar
 
 __all__ = [
     "InterpolantBatch",
@@ -235,10 +235,9 @@ def velocity_from_denoiser(denoiser, schedule: Schedule, t, x) -> np.ndarray:
     t = 1 where alpha vanishes.
     """
     X = as_points(x, "x")
-    t_arr = as_times(t, X.shape[0])
-    dlog = schedule.dlog_alpha(t_arr)
-    rate = schedule.rate(t_arr)
-    return dlog[:, None] * X + rate[:, None] * as_points(denoiser(t, X), "denoiser output")
+    t = as_times_or_scalar(t, X.shape[0])
+    dlog, rate = schedule.dlog_alpha(t), schedule.rate(t)
+    return dlog[..., None] * X + rate[..., None] * as_points(denoiser(t, X), "denoiser output")
 
 
 def make_velocity(net: Net):
@@ -256,9 +255,9 @@ def make_denoiser(net: Net, schedule: Schedule, sigma_data: float):
 
     def denoiser_fn(t, X):
         X = as_points(X, "X")
-        c_in, c_skip, c_out, c_noise, _ = denoiser_coeffs(schedule, as_times(t, X.shape[0]),
-                                                          sigma_data)
-        pred = nets.forward_batch(net, nets.net_input(net.spec, (c_noise,), c_in[:, None] * X))
-        return c_skip[:, None] * X + c_out[:, None] * pred
+        c_in, c_skip, c_out, c_noise, _ = denoiser_coeffs(
+            schedule, as_times_or_scalar(t, X.shape[0]), sigma_data)
+        pred = nets.forward_batch(net, nets.net_input(net.spec, (c_noise,), c_in[..., None] * X))
+        return c_skip[..., None] * X + c_out[..., None] * pred
 
     return denoiser_fn

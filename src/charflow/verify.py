@@ -37,8 +37,8 @@ class CheckResult:
 def check_schedule_conditions() -> CheckResult:
     worst = []
     for kind in ("linear", "follmer"):
-        rep = validate_schedule(Schedule(kind), 101)
-        worst.append((kind, rep.all_ok))
+        rows = validate_schedule(Schedule(kind), 101)
+        worst.append((kind, all(ok for _, ok, _ in rows)))
     ok = all(flag for _, flag in worst)
     return CheckResult("schedule-conditions", ok, f"grid=101 {worst}")
 

@@ -5,7 +5,7 @@ from charflow.cgen import (CgTrainConfig, StudentNet, g_apply, global_loss, loca
                            make_teacher_flow, multi_step, one_step, regression_loss,
                            sample_index_pairs, self_distill_reference, semigroup_penalty,
                            student_denoiser, train_cg)
-from charflow import net as nets
+from charflow import cgen, net as nets
 from charflow.net import TILE_ROWS, Net, NetSpec, net_init
 from charflow.oracle import OracleContext, denoiser_exact, flow_exact, velocity_exact
 from charflow.rng import Rng
@@ -569,6 +569,19 @@ class TestTrainCg:
         assert np.array_equal(s1.net.params, s2.net.params)
         assert np.all(np.isfinite(l1))
 
+    def test_full_pairs_loss_covers_every_pair_of_the_drawn_particles(self):
+        corpus = _gauss_corpus(m=16, K=6)
+        spec = NetSpec(3, (8,), 1, activation="silu")
+        config = CgTrainConfig(mode="regression", schedule=LINEAR, net_spec=spec, stop_time=0.9,
+                               iterations=1, batch_size=4, lambda_semigroup=0.0,
+                               full_pairs=True, seed=42, sigma_data=0.5)
+        _, losses = train_cg(config, corpus=corpus)
+        idx = Rng(42, stream=1).integers(16, 4)
+        pairs = [(i, k, ell) for i in idx for k in range(6) for ell in range(k, 6)]
+        init = StudentNet(net_init(spec, 42), LINEAR, 0.9, sigma_data=0.5)
+        assert len(pairs) == 4 * 21
+        assert losses == [regression_loss(init, corpus, pairs)[0]]
+
     def test_practical_mode_learns_the_gaussian_denoiser(self):
         # exact teacher; the student's diagonal slice must approach the oracle denoiser
         ctx = OracleContext(GAUSS1, LINEAR)
@@ -671,25 +684,33 @@ class TestSampling:
         b = multi_step(student, [0.0, 0.9], 32, seed=2)
         assert np.array_equal(a, b)
 
-    def test_nfe_counts_segments(self):
-        student = _student(seed=52)
-        student.eval_count = 0
-        multi_step(student, [0.0, 0.3, 0.6, 0.9], 8, seed=3)
-        assert student.eval_count == 3
-        student.eval_count = 0
-        one_step(student, 8, 0.9, seed=3)
-        assert student.eval_count == 1
+    @staticmethod
+    def _g_calls(monkeypatch):
+        # a spy on cgen.g_apply, the name the sampler looks up and the bench tracer counts
+        calls = []
+        g = cgen.g_apply
+        monkeypatch.setattr(cgen, "g_apply", lambda *a: calls.append(1) or g(*a))
+        return calls
 
-    def test_nfe_counts_g_calls_not_forward_tiles(self):
+    def test_nfe_counts_segments(self, monkeypatch):
+        student = _student(seed=52)
+        calls = self._g_calls(monkeypatch)
+        multi_step(student, [0.0, 0.3, 0.6, 0.9], 8, seed=3)
+        assert len(calls) == 3
+        calls.clear()
+        one_step(student, 8, 0.9, seed=3)
+        assert len(calls) == 1
+
+    def test_nfe_counts_g_calls_not_forward_tiles(self, monkeypatch):
         # each g evaluation runs forward_batch over three row tiles here
         m = 2 * TILE_ROWS + 1
         student = _student(seed=52)
-        student.eval_count = 0
+        calls = self._g_calls(monkeypatch)
         one_step(student, m, 0.9, seed=3)
-        assert student.eval_count == 1
-        student.eval_count = 0
+        assert len(calls) == 1
+        calls.clear()
         multi_step(student, [0.0, 0.3, 0.6, 0.9], m, seed=3)
-        assert student.eval_count == 3
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("plain", [False, True])
     @pytest.mark.parametrize("m", [0, 1, 5, 4097])

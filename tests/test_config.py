@@ -57,8 +57,10 @@ frame = 1,0;0,1;0,0
             parse_config_text("[target]\nvariant = atomic\n")
 
     def test_stop_time_range_checked(self):
-        with pytest.raises(ValueError, match="stop_time"):
-            parse_config_text("[velocity]\nstop_time = 0.3\n")
+        for section, value in (("velocity", "0.3"), ("cg", "1.0")):
+            line = f"{section}.stop_time must lie in (0.5, 1), got {value}"
+            with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+                parse_config_text(f"[{section}]\nstop_time = {value}\n")
 
 
 class TestRoundTrip:

@@ -11,6 +11,11 @@ from charflow.rng import Rng
 from charflow.sampler import TimeGrid, TrajectoryBatch, load_trajectories, save_trajectories
 
 
+def _grad(net, X, upstream):
+    """grad_batch on a fresh forward cache of X."""
+    return grad_batch(net, X, upstream, forward_batch(net, X, want_cache=True)[1])
+
+
 class TestInit:
     def test_deterministic(self):
         spec = NetSpec(3, (16, 16), 2)
@@ -86,7 +91,7 @@ class TestGrad:
             net = net_init(spec, trial)
             x = rng.normal((spec.input_dim,))
             up = rng.normal((spec.output_dim,))
-            pg, ig = grad_batch(net, x[None, :], up[None, :])
+            pg, ig = _grad(net, x[None, :], up[None, :])
             ig = ig[0]
             h = 1e-5
             for _ in range(3):
@@ -113,7 +118,7 @@ class TestGrad:
         net = net_init(spec, 5)
         x = np.array([1.0, 2.0, 3.0])
         up = np.array([0.5, -1.5])
-        pg, ig = grad_batch(net, x[None, :], up[None, :])
+        pg, ig = _grad(net, x[None, :], up[None, :])
         ig = ig[0]
         assert np.array_equal(pg[:6].reshape(2, 3), np.outer(up, x))
         assert np.array_equal(pg[6:], up)
@@ -121,7 +126,7 @@ class TestGrad:
 
     def test_zero_upstream(self):
         net = net_init(NetSpec(3, (5,), 2), 1)
-        pg, ig = grad_batch(net, np.ones((1, 3)), np.zeros((1, 2)))
+        pg, ig = _grad(net, np.ones((1, 3)), np.zeros((1, 2)))
         ig = ig[0]
         assert np.array_equal(pg, np.zeros_like(net.params))
         assert np.array_equal(ig, np.zeros(3))
@@ -131,11 +136,11 @@ class TestGrad:
         net = net_init(spec, 2)
         X = Rng(3).normal((6, 4))
         U = Rng(4).normal((6, 3))
-        pg, ig = grad_batch(net, X, U)
-        pg_rows = sum(grad_batch(net, X[i:i + 1], U[i:i + 1])[0] for i in range(6))
+        pg, ig = _grad(net, X, U)
+        pg_rows = sum(_grad(net, X[i:i + 1], U[i:i + 1])[0] for i in range(6))
         assert np.max(np.abs(pg - pg_rows)) < 1e-12
         for i in range(6):
-            assert np.allclose(ig[i], grad_batch(net, X[i:i + 1], U[i:i + 1])[1][0])
+            assert np.allclose(ig[i], _grad(net, X[i:i + 1], U[i:i + 1])[1][0])
 
 
 class TestAdam:
@@ -355,10 +360,9 @@ def test_forward_and_grad_bitwise_equal_the_two_exp_reference(activation, hidden
     out, cache = forward_batch(net, X, want_cache=True)
     assert forward_batch(net, X).tobytes() == ref_out.tobytes()
     assert out.tobytes() == ref_out.tobytes()
-    for passed in (None, cache):
-        pg, ig = grad_batch(net, X, upstream, cache=passed)
-        assert pg.tobytes() == ref_pg.tobytes()
-        assert ig.tobytes() == ref_ig.tobytes()
+    pg, ig = grad_batch(net, X, upstream, cache)
+    assert pg.tobytes() == ref_pg.tobytes()
+    assert ig.tobytes() == ref_ig.tobytes()
 
 
 def test_forward_leaves_its_input_untouched():
@@ -444,8 +448,9 @@ def test_pooled_passes_bitwise_equal_the_allocating_reference(hidden, activation
             ref_out, _ = _alloc_forward(net, X)
             ref_pg, ref_ig = _alloc_grad(net, X, upstream)
             out, cache = forward_batch(net, X, want_cache=True)
-            got = [forward_batch(net, X), out, *grad_batch(net, X, upstream, cache=cache),
-                   *grad_batch(net, X, upstream)]
+            # the second cache is built while the first one's work arrays are in use
+            got = [forward_batch(net, X), out, *_grad(net, X, upstream),
+                   *grad_batch(net, X, upstream, cache)]
             want = [ref_out, ref_out, ref_pg, ref_ig, ref_pg, ref_ig]
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
             results.append((got, want))
@@ -476,21 +481,22 @@ def test_adam_and_ema_update_in_place_with_the_reference_bits(scoped):
     assert state.m is m_array   # the moments are updated in place
 
 
-def test_a_spent_cache_is_refused_inside_a_pool_and_reusable_outside():
+def test_a_spent_cache_is_refused_inside_and_outside_a_pool():
     net = _noisy_net((8, 8), "silu")
     X, upstream = Rng(1).normal((6, 3)), Rng(2).normal((6, 2))
     with buffer_pool():
         _, cache = forward_batch(net, X, want_cache=True)
-        first = grad_batch(net, X, upstream, cache=cache)
+        first = grad_batch(net, X, upstream, cache)
         with pytest.raises(ValueError, match="already spent"):
-            grad_batch(net, X, upstream, cache=cache)
+            grad_batch(net, X, upstream, cache)
         with buffer_pool():   # a nested block shares the outer pool
             assert nets._POOL.get() is not None
     assert nets._POOL.get() is None
     _, cache = forward_batch(net, X, want_cache=True)
-    for _ in range(2):
-        again = grad_batch(net, X, upstream, cache=cache)
-        assert [a.tobytes() for a in again] == [f.tobytes() for f in first]
+    again = grad_batch(net, X, upstream, cache)
+    assert [a.tobytes() for a in again] == [f.tobytes() for f in first]
+    with pytest.raises(ValueError, match="already spent"):
+        grad_batch(net, X, upstream, cache)
 
 
 # (input_dim, hidden, output_dim, activation) of the shipped configs' generators:

@@ -10,9 +10,10 @@ import re
 import numpy as np
 import pytest
 
-from charflow.cgen import StudentNet, g_apply, global_loss, make_teacher_flow
-from charflow.net import NetSpec, net_init
+from charflow.cgen import StudentNet, g_apply, global_loss, make_teacher_flow, student_denoiser
+from charflow.net import NetSpec, net_init, time_feature_dim
 from charflow.oracle import OracleContext, velocity_exact
+from charflow.rng import Rng
 from charflow.schedule import Schedule
 from charflow.target import as_times, atomic_mixture
 from charflow.velocity import draw_batch, make_denoiser, velocity_from_denoiser
@@ -81,3 +82,24 @@ def test_as_times_refuses_every_other_shape(t):
     expected = re.escape(f"nodes must be a scalar or an (2,) array, got shape {t.shape}")
     with pytest.raises(ValueError, match=expected):
         as_times(t, 2, "nodes")
+
+
+@pytest.mark.parametrize("features", ["raw", "fourier"])
+@pytest.mark.parametrize("kind", ["linear", "follmer"])
+def test_a_scalar_step_time_has_the_bits_of_its_row_broadcast(kind, features):
+    # a solver step's scalar time evaluates the schedule once instead of on m equal entries
+    schedule, f = Schedule(kind), time_feature_dim(features, 3)
+    spec = lambda n_times: NetSpec(n_times * f + 2, (16,), 2, activation="silu",
+                                   time_features=features, fourier_k=3)
+    denoiser = make_denoiser(net_init(spec(1), 1), schedule, 0.6)
+    anchored = StudentNet(net_init(spec(2), 2), schedule, 0.9, 0.6)
+    plain = StudentNet(net_init(spec(2), 2), schedule, 0.9, 0.6, plain=True)
+    X = 1.5 * Rng(3).normal((33, 2))
+    for t, s in ((0.0, 0.9), (0.3, 0.8), (0.45, 0.45)):
+        calls = [lambda t, s: denoiser(t, X),
+                 lambda t, s: velocity_from_denoiser(denoiser, schedule, t, X),
+                 lambda t, s: student_denoiser(anchored, t, s, X),
+                 lambda t, s: g_apply(anchored, t, s, X),
+                 lambda t, s: g_apply(plain, t, s, X)]
+        for call in calls:
+            assert call(t, s).tobytes() == call(np.full(33, t), np.full(33, s)).tobytes()

@@ -294,7 +294,8 @@ def test_residual_loss_runs_one_forward_with_the_two_forward_bits(monkeypatch, a
     inp, target = Rng(3).normal((64, 3)), Rng(4).normal((64, 2))
     resid = nets.forward_batch(net, inp) - target
     ref_loss = float(np.sum(resid * resid)) / 64
-    ref_grad, _ = nets.grad_batch(net, inp, (2.0 / 64) * resid)   # re-runs the forward
+    ref_grad, _ = nets.grad_batch(net, inp, (2.0 / 64) * resid,   # a second forward
+                                  nets.forward_batch(net, inp, want_cache=True)[1])
     calls = []
     forward = nets.forward_batch
     monkeypatch.setattr(nets, "forward_batch", lambda *a, **k: calls.append(1) or forward(*a, **k))
