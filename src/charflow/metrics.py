@@ -5,10 +5,11 @@ measures up to n = 4096.  On the line it matches the sorted orders (the
 monotone coupling is the unique optimum of a strictly convex cost), in
 O(n log n); for d >= 2 it solves the assignment problem exactly
 (Jonker-Volgenant via scipy) on an n x n cost matrix filled in row blocks
-of a few MB.  Larger comparisons go through ``sliced_w2``.  scipy is
-imported on the first d >= 2 call, not with this module: importing
-``scipy.optimize`` takes about 0.6 s, several times what the rest of the
-package costs to import, and nothing else in the package needs it.
+whose difference tensors hold at most 256 KB (one row at least).  Larger
+comparisons go through ``sliced_w2``.  scipy is imported on the first
+d >= 2 call, not with this module: importing ``scipy.optimize`` takes
+about 0.6 s, several times what the rest of the package costs to import,
+and nothing else in the package needs it.
 ``w2_gaussian`` is the closed form between Gaussians and doubles as an
 independent calibration oracle for the empirical estimators.
 
@@ -37,7 +38,7 @@ __all__ = [
 ]
 
 W2_EXACT_MAX_N = 4096
-COST_BLOCK_BYTES = 1 << 22  # size of one row block's difference tensor in _sq_cost
+COST_BLOCK_BYTES = 1 << 18  # most bytes of one row block's difference tensor in _sq_cost
 
 
 def _sq_cost(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -6,12 +6,14 @@ layer-major: for each layer, the weight matrix W (out, in) in row-major
 order, followed by the bias (out,).  Gradients are computed by hand-rolled
 backprop; ``grad_batch`` returns both the parameter gradient of
 ``sum_i <upstream_i, f(x_i)>`` and the per-row input gradients, which is all
-the vector-Jacobian machinery the training losses need.  The forward cache
-(``forward_batch(..., want_cache=True)``) holds each hidden layer's
-pre-activation, activation and, for SiLU, the sigmoid, which ``grad_batch``
-reuses instead of recomputing it; without a cache the forward pass adds the
-bias and applies the activation in place.  Both paths give the same bits as
-``z = h @ W.T + b`` followed by ``z * (1 / (1 + exp(-z)))`` or ``max(z, 0)``.
+the vector-Jacobian machinery the training losses need.  Each hidden layer
+adds the bias and applies the activation in place, so the layer lives in
+one work array.  The forward cache (``forward_batch(..., want_cache=True)``)
+holds only what ``grad_batch`` reads: per hidden layer the activation h
+and, for SiLU, the derivative sig * (1 + z * (1 - sig)), formed while the
+sigmoid is at hand; the ReLU derivative is the mask h > 0.  With a cache
+or without, the pass gives the same bits as ``z = h @ W.T + b`` followed by
+``z * (1 / (1 + exp(-z)))`` or ``max(z, 0)``.
 
 ``net_input`` builds the input of every time-conditioned net: the features
 of each time, then the state.  ``time_features`` embeds times either raw or
@@ -221,12 +223,13 @@ def _give(pool, *arrays):
 
 
 class _Cache:
-    """Per hidden layer: pre-activation, activation (post[0] is the input), SiLU sigmoid."""
+    """Per hidden layer what ``grad_batch`` reads: the activation (post[0] is the input)
+    and, for SiLU, the activation derivative (dacts[i] is None for ReLU)."""
 
-    __slots__ = ("pre", "post", "sigs", "pool")
+    __slots__ = ("post", "dacts", "pool")
 
-    def __init__(self, pre, post, sigs, pool):
-        self.pre, self.post, self.sigs, self.pool = pre, post, sigs, pool
+    def __init__(self, post, dacts, pool):
+        self.post, self.dacts, self.pool = post, dacts, pool
 
 
 def _sigmoid(z, out):
@@ -237,14 +240,8 @@ def _sigmoid(z, out):
     return np.divide(1.0, s, out=s)
 
 
-def _act_grad(z, sig, out):
-    """Activation derivative at z, written into ``out``; sig is the cached sigmoid (None for ReLU).
-
-    ReLU: 1.0 where z > 0, else 0.0.  SiLU: sig * (1 + z * (1 - sig)), each
-    product and sum taken in that order.
-    """
-    if sig is None:
-        return np.greater(z, 0.0, out=out)
+def _silu_grad(z, sig, out):
+    """SiLU derivative sig * (1 + z * (1 - sig)) at z, each product and sum in that order."""
     np.subtract(1.0, sig, out=out)
     out *= z
     out += 1.0
@@ -255,10 +252,11 @@ def _act_grad(z, sig, out):
 def forward_batch(net: Net, X: np.ndarray, want_cache: bool = False):
     """MLP forward pass on rows of X (m, input_dim); returns a fresh (m, output_dim) array.
 
-    With ``want_cache`` also returns the cache ``grad_batch`` consumes: per
-    hidden layer the pre-activation, the activation and the SiLU sigmoid,
-    each in its own work array.  Without it the bias and activation are
-    applied in place and the layers alternate between two work arrays of
+    The bias and the activation are applied in place, so each hidden layer
+    lives in one work array.  With ``want_cache`` also returns the cache
+    ``grad_batch`` consumes: per hidden layer the activation and, for SiLU,
+    the activation derivative, formed while the sigmoid is at hand.
+    Without it the layers alternate between two work arrays of
     (min(m, TILE_ROWS), width): more than ``TILE_ROWS`` rows run slice by
     slice, each slice's output written into its rows of the result.
     """
@@ -274,26 +272,29 @@ def forward_batch(net: Net, X: np.ndarray, want_cache: bool = False):
     layers = _unpack(net)
     silu = net.spec.activation == "silu"
     h = X
-    pre, post, sigs = [], [X], []
+    post, dacts = [X], []
     for w, b in layers[:-1]:
         z = np.matmul(h, w.T, out=_take(pool, (X.shape[0], w.shape[0])))
         z += b
         if not want_cache and h is not X:
             _give(pool, h)
-        sig = _sigmoid(z, out=_take(pool, z.shape)) if silu else None
-        dest = _take(pool, z.shape) if want_cache else z
-        h = np.multiply(z, sig, out=dest) if silu else np.maximum(z, 0.0, out=dest)
-        if want_cache:
-            pre.append(z)
-            post.append(h)
-            sigs.append(sig)
-        elif silu:
+        dact = None
+        if silu:
+            sig = _sigmoid(z, out=_take(pool, z.shape))
+            if want_cache:
+                dact = _silu_grad(z, sig, _take(pool, z.shape))
+            h = np.multiply(z, sig, out=z)
             _give(pool, sig)
+        else:
+            h = np.maximum(z, 0.0, out=z)
+        if want_cache:
+            post.append(h)
+            dacts.append(dact)
     w, b = layers[-1]
     out = h @ w.T
     out += b
     if want_cache:
-        return out, _Cache(pre, post, sigs, pool)
+        return out, _Cache(post, dacts, pool)
     if h is not X:
         _give(pool, h)
     return out
@@ -308,16 +309,19 @@ def grad_batch(net: Net, X: np.ndarray, upstream: np.ndarray, cache):
     input_grads has one row per input; both are fresh arrays.  ``cache`` is
     what ``forward_batch(net, X, want_cache=True)`` returned: it feeds this
     one backward pass, its arrays go back to the pool if one is open, and
-    passing it again raises ValueError.
+    passing it again raises ValueError.  The ReLU derivative is the mask
+    h > 0 of the cached activation h = max(z, 0), which is z > 0 for every
+    float z (-0.0 and NaN included); multiplying by the boolean mask gives
+    the bits of multiplying by 1.0 / 0.0.
     """
     X = np.asarray(X, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (X.shape[0], net.spec.output_dim):
         raise ValueError(f"upstream shape {upstream.shape} does not match output_dim")
-    if cache.pre is None:
+    if cache.post is None:
         raise ValueError("this forward cache was already spent by grad_batch; "
                          "run forward_batch again")
-    pre, post, sigs, pool = cache.pre, cache.post, cache.sigs, cache.pool
+    post, dacts, pool = cache.post, cache.dacts, cache.pool
     layers = _unpack(net)
     param_grad = np.empty(net.spec.param_count)
     grads = _unpack(net, param_grad)
@@ -331,12 +335,10 @@ def grad_batch(net: Net, X: np.ndarray, upstream: np.ndarray, cache):
         if delta is not upstream:
             _give(pool, delta)
         if i > 0:
-            act = _act_grad(pre[i - 1], sigs[i - 1], _take(pool, below.shape))
-            below *= act
-            _give(pool, act)
+            below *= post[i] > 0.0 if dacts[i - 1] is None else dacts[i - 1]
         delta = below
-    _give(pool, *pre, *post[1:], *(s for s in sigs if s is not None))
-    cache.pre = cache.post = cache.sigs = None
+    _give(pool, *post[1:], *(d for d in dacts if d is not None))
+    cache.post = cache.dacts = None
     return param_grad, delta
 
 
@@ -359,6 +361,8 @@ class AdamState:
 
 def adam_step(state: AdamState, net: Net, grad: np.ndarray):
     """One Adam update with bias correction; mutates state (moments from ``for_net``) and net."""
+    if state.m is None or state.v is None:
+        raise ValueError("AdamState has no moments; call AdamState.for_net(net) first")
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != net.params.shape:
         raise ValueError("gradient length must match parameter count")

@@ -18,6 +18,7 @@ finite or a file without rows fails to load naming the file.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,7 +216,42 @@ def load_points(path) -> np.ndarray:
     Every row must hold as many finite numbers as the ``x0,...`` header
     names (the first row's count when there is no header); otherwise one
     ValueError names the file and the line; a file without rows is refused too.
+    The body after the leading comments and header is parsed by one
+    ``np.loadtxt`` call.  When that call refuses the body, or its rows are
+    missing, of the wrong width or not finite, the line-by-line scan
+    ``_scan_points`` decides: it names the line at fault, or reads the
+    layouts ``np.loadtxt`` refuses but the format allows (comment or
+    whitespace-only lines between rows, a repeated header, underscores in a
+    number).  Both parse a field as ``float`` does, so either way an
+    accepted file gives the same array.
     """
+    skip, width = _body_start(path)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body: the scan refuses it
+            points = np.loadtxt(path, delimiter=",", comments=None, skiprows=skip, ndmin=2,
+                                encoding="utf-8")
+    except ValueError:
+        return _scan_points(path)
+    if points.size and width in (None, points.shape[1]) and np.isfinite(points).all():
+        return points
+    return _scan_points(path)
+
+
+def _body_start(path):
+    """(lines before the first data row, the header's field count or None without a header)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                if line.startswith("x0"):
+                    return lineno + 1, len(line.split(","))
+                return lineno, None
+    return 0, None
+
+
+def _scan_points(path) -> np.ndarray:
+    """``load_points`` line by line: the array, or the ValueError that names the line."""
     rows = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:

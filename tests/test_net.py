@@ -180,6 +180,15 @@ class TestAdam:
         with pytest.raises(RuntimeError):
             adam_step(state, net, bad)
 
+    def test_state_without_moments_is_refused_untouched(self):
+        net = net_init(NetSpec(2, (3,), 1), 0)
+        before = net.params.copy()
+        state = AdamState()
+        with pytest.raises(ValueError, match=r"AdamState\.for_net"):
+            adam_step(state, net, np.ones_like(before))
+        assert state.step == 0 and state.m is None and state.v is None
+        assert np.array_equal(net.params, before)
+
 
 class TestEma:
     def test_rate_one_keeps_ema(self):
@@ -497,6 +506,21 @@ def test_a_spent_cache_is_refused_inside_and_outside_a_pool():
     assert [a.tobytes() for a in again] == [f.tobytes() for f in first]
     with pytest.raises(ValueError, match="already spent"):
         grad_batch(net, X, upstream, cache)
+
+
+# (m, width) work arrays a fresh pool holds after one cached forward pass and its
+# backward pass on two hidden layers of that width.  ReLU: each layer's activation,
+# written over its pre-activation, plus two backward arrays.  SiLU: the activation
+# and the derivative per layer, the sigmoid's array (reused) and one more backward array.
+@pytest.mark.parametrize("activation, arrays", [("relu", 4), ("silu", 6)])
+def test_cached_pass_pools_only_what_the_backward_pass_reads(activation, arrays):
+    net = _noisy_net((16, 16), activation)   # input 3 and output 2: only hidden layers are 16 wide
+    X, upstream = Rng(1).normal((9, 3)), Rng(2).normal((9, 2))
+    with buffer_pool():
+        _, cache = forward_batch(net, X, want_cache=True)
+        grad_batch(net, X, upstream, cache)
+        pooled = [a.shape for free in nets._POOL.get().values() for a in free]
+    assert pooled == [(9, 16)] * arrays
 
 
 # (input_dim, hidden, output_dim, activation) of the shipped configs' generators:

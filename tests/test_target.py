@@ -183,6 +183,38 @@ def test_point_file_without_rows_is_refused(tmp_path, body):
     assert str(path) in str(err.value)
 
 
+def _float_rows(text):
+    # what the line-by-line scan reads from a file it accepts: float() of every field
+    lines = [line.strip() for line in text.splitlines()]
+    return np.array([[float(v) for v in line.split(",")] for line in lines
+                     if line and not line.startswith(("#", "x0"))])
+
+
+@pytest.mark.parametrize("text", [
+    "0.5,1.5\n-2.25,3e-07\n",                                     # no header
+    "# charflow\n# more\n\nx0,x1\n0.5,1.5\n\n# note\n-2.0,3.0\n\n",  # comments, blank lines
+    "x0,x1\n 0.5 , 1.5\n\t-2.0,3.0 \n",                           # spaces around fields
+    "# charflow\nx0,x1,x2\n0.1,0.2,0.30000000000000004\n",          # one row
+    "# charflow\nx0\n5e-324\n-0.0\n1.7976931348623157e308\n",      # one column
+    "# charflow\nx0,x1\n1_0,2\n  \n3,4\nx0,x1\n5,6\n",            # what loadtxt refuses
+])
+def test_point_file_layouts_read_as_the_scan_reads_them(tmp_path, text):
+    path = tmp_path / "points.csv"
+    path.write_text(text)
+    got, want = load_points(path), _float_rows(text)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_saved_points_parse_without_the_scan(tmp_path, monkeypatch):
+    pts = Rng(3).normal((700, 4))
+    pts[0] = [5e-324, -0.0, 1e-300, -1.7976931348623157e308]
+    path = tmp_path / "points.csv"
+    save_points(path, pts, provenance="charflow test run")
+    monkeypatch.setattr(target, "_scan_points", None)   # the one-call parse must suffice
+    assert load_points(path).tobytes() == pts.tobytes()
+
+
 @pytest.mark.parametrize("body, line", [
     ("0.5,1.5\n0.2", 4),              # cut mid-row: one field short
     ("0.5,1.5,2.5\n", 3),             # one field too many
