@@ -20,10 +20,15 @@ bad config (a float key out of its range, a non-finite float value or
 point or float-list entry, or a ``run.seed`` outside
 [0, ``config.SEED_MAX``] included; ``config.check_seed`` runs again after
 ``--seed``), a missing or damaged
-input (a point file with no rows or a non-finite coordinate included), a
-checkpoint of the other role (a student's over ``field.ckpt`` or the reverse)
-or whose output dimension differs from the config's target (refused before
-the command writes its outputs), a training run that diverges (a
+input (a point file with no rows or a non-finite coordinate included; a
+checkpoint whose header length runs past the end of the file, whose header
+is not a JSON object or has no ``extra`` object), a checkpoint of the other
+role (a student's over ``field.ckpt`` or the reverse), with a header value
+of the wrong type or range (each key the role needs is checked against
+``CHECKPOINT_KEYS``: ``role``, ``schedule``, ``stop_time``, ``sigma_data``,
+``plain``; the line names the file and the key) or whose output dimension
+differs from the config's target (refused before the command writes its
+outputs), a training run that diverges (a
 non-finite loss, or a loss above ``velocity.DIVERGENCE_FACTOR`` times the
 first; the line names the command and the iteration; no checkpoint is
 written) and a sampler whose state turns non-finite (every sampler,
@@ -52,15 +57,25 @@ from .config import (SEED_CG, SEED_DATA, SEED_EVAL, SEED_HOLDOUT, SEED_SAMPLE, S
 from .fileio import atomic_open
 from .metrics import MetricReport, save_reports, sliced_w2, w2_exact, W2_EXACT_MAX_N
 from .net import NetSpec, load_net, save_net
-from .schedule import Schedule
+from .schedule import KINDS as SCHEDULE_KINDS, Schedule
 from .target import TargetSpec, load_points, sample_target, save_points
 from .velocity import (TrainConfig, estimate_sigma_data, make_denoiser, make_velocity,
                        velocity_from_denoiser)
 
 COMMANDS = ("gen-data", "train-velocity", "train-cg", "sample", "eval", "verify")
-# the header keys each checkpoint's readers need; the other role's file lacks one of them
-CHECKPOINT_KEYS = {"field.ckpt": ("role", "schedule", "stop_time", "sigma_data"),
-                   "student.ckpt": ("schedule", "stop_time", "sigma_data", "plain")}
+# the header keys each checkpoint's readers need, as key -> (test, wording); the other role's
+# file lacks one of them
+_ROLE = (lambda v: v in ("velocity", "denoiser"), "must be velocity or denoiser")
+_SCHEDULE = (lambda v: v in SCHEDULE_KINDS, f"must be one of {SCHEDULE_KINDS}")
+_STOP_TIME = (lambda v: type(v) is float and 0.0 < v < 1.0, "must be a float in (0, 1)")
+_SIGMA_DATA = (lambda v: type(v) is float and 0.0 < v < np.inf, "must be a finite float > 0")
+_PLAIN = (lambda v: type(v) is bool, "must be true or false")
+CHECKPOINT_KEYS = {
+    "field.ckpt": {"role": _ROLE, "schedule": _SCHEDULE, "stop_time": _STOP_TIME,
+                   "sigma_data": _SIGMA_DATA},
+    "student.ckpt": {"schedule": _SCHEDULE, "stop_time": _STOP_TIME, "sigma_data": _SIGMA_DATA,
+                     "plain": _PLAIN},
+}
 # the [velocity] and [cg] keys read here; every other key of those sections names a field of
 # TrainConfig or CgTrainConfig and reaches it as it is
 _OWN_KEYS = ("m", "steps", "hidden", "activation", "time_features", "fourier_k")
@@ -145,13 +160,17 @@ def cmd_train_velocity(cfg: RunConfig, out: str) -> int:
 
 
 def _load_checked(cfg: RunConfig, out: str, name: str, hint: str):
-    """Load a checkpoint; refuse one of the other role or of another output dimension."""
+    """Load a checkpoint; refuse one of the other role, a bad header value or another dimension."""
     path = _require(os.path.join(out, name), hint)
     net, extra = load_net(path)
     missing = [key for key in CHECKPOINT_KEYS[name] if key not in extra]
     if missing:
         raise ValueError(f"{path} is not a {name.split('.')[0]} checkpoint (its header lacks "
                          f"{', '.join(missing)}); rerun `charflow {hint}`")
+    for key, (test, wording) in CHECKPOINT_KEYS[name].items():
+        if not test(extra[key]):
+            raise ValueError(f"{path}: header key extra.{key} {wording}, got {extra[key]!r}; "
+                             f"rerun `charflow {hint}`")
     dim = _target_spec(cfg).dim
     if net.spec.output_dim != dim:
         raise ValueError(f"{path} maps to dimension {net.spec.output_dim}, but the config's "
@@ -187,7 +206,7 @@ def cmd_train_cg(cfg: RunConfig, out: str) -> int:
                                   cfg["schedule"]["kind"], prov)
         student, losses = cgen.train_cg(config, corpus=corpus)
     elif config.mode == "practical":
-        _, denoiser, _, extra, _ = _load_field(cfg, out)
+        denoiser = _load_field(cfg, out)[1]
         if denoiser is None:
             raise ValueError("practical mode needs a denoiser teacher; train with velocity.loss=denoiser")
         student, losses = cgen.train_cg(config, data=data, teacher=denoiser)

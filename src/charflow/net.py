@@ -449,7 +449,8 @@ def read_frame(path, magic: bytes, kind: str, body_count):
     """Read a frame written by write_frame; returns (header, flat float64 body).
 
     ``body_count(header)`` gives the number of float64 values the header
-    promises; a header that cannot be read, or a body of any other length,
+    promises; a header length beyond the end of the file, a header that
+    cannot be read or is not a JSON object, or a body of any other length,
     raises ValueError naming the file.
     """
     with open(path, "rb") as fh:
@@ -457,10 +458,18 @@ def read_frame(path, magic: bytes, kind: str, body_count):
             raise ValueError(f"{path} is not a charflow {kind}")
         fh.readline()  # provenance
         size = int.from_bytes(fh.read(8), "little")
+        here = fh.tell()
+        left = fh.seek(0, 2) - here
+        if size > left:
+            raise ValueError(f"{path}: unreadable {kind} header (its length {size} exceeds the "
+                             f"{left} bytes left in the file)")
+        fh.seek(here)
         blob = fh.read(size)
         body = fh.read()
     try:
         header = json.loads(blob.decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError(f"not a JSON object but a {type(header).__name__}")
         expected = body_count(header)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: unreadable {kind} header ({exc})") from exc
@@ -481,4 +490,6 @@ def load_net(path):
     spec = lambda header: NetSpec(**{k: v for k, v in header.items() if k != "extra"})
     header, params = read_frame(path, CHECKPOINT_MAGIC, "net checkpoint",
                                 lambda h: spec(h).param_count)
+    if not isinstance(header.get("extra"), dict):
+        raise ValueError(f"{path}: net checkpoint header has no extra object")
     return Net(spec(header), params), header["extra"]

@@ -82,11 +82,6 @@ def _posterior(ctx: OracleContext, t, x, allow_zero: bool = True):
     return X, a, b, da, db, den, w / w.sum(axis=1, keepdims=True)
 
 
-def posterior_atom_weights(ctx: OracleContext, t, x) -> np.ndarray:
-    """(m, J) posterior probabilities over atoms given X_t = x."""
-    return _posterior(ctx, t, x)[-1]
-
-
 def gamma_coefficient(schedule: Schedule, sigma: float, t):
     """(a da + sigma^2 b db)/(a^2 + sigma^2 b^2): the linear-in-x velocity factor."""
     a, b, da, db = schedule.coeffs(t)

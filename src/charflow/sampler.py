@@ -64,10 +64,6 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.stop_time, self.steps + 1)
 
-    @property
-    def tau(self) -> float:
-        return self.stop_time / self.steps
-
 
 @dataclass(frozen=True)
 class TrajectoryBatch:

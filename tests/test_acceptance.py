@@ -1,10 +1,13 @@
 """Acceptance gate: one test per release criterion, each printing a verdict line.
 
-Every criterion pins its full protocol (target, seeds, budgets) here so a
-green run certifies the stated tolerances, not a lucky configuration.  The
+Every criterion has one fixed protocol (target, seeds, budgets) so a green
+run certifies the stated tolerances, not a lucky configuration.  The
 closed-form criteria (01, 02, 03, 05, 07, 08) run the ``charflow verify``
-checks under that pinned protocol; the training criteria are implemented
-here.
+checks, which hold their protocol themselves and take no arguments, so
+``charflow verify`` passing certifies the same facts; their budgets and
+report lines are kept here.  The training criteria are implemented here.
+A budget bounds the process CPU time (``time.process_time``), which other
+processes on a shared machine cannot stretch as they stretch wall time.
 """
 
 import time
@@ -19,7 +22,7 @@ from charflow.oracle import OracleContext, denoiser_exact, velocity_exact
 from charflow.rng import Rng
 from charflow.sampler import TimeGrid, push_samples
 from charflow.schedule import Schedule
-from charflow.target import atomic_mixture, embed_target, sample_target, swiss_roll
+from charflow.target import atomic_mixture, sample_target, swiss_roll
 from charflow.velocity import (TrainConfig, denoiser_loss, draw_batch, estimate_sigma_data,
                                make_denoiser, make_velocity, train, velocity_from_denoiser,
                                velocity_loss)
@@ -28,7 +31,9 @@ LINEAR = Schedule("linear")
 FOLLMER = Schedule("follmer")
 
 
-def _report(num, name, ok, detail, elapsed, budget):
+def _report(num, name, ok, detail, start, budget):
+    """Print the verdict line; ``start`` is the criterion's ``time.process_time()`` at entry."""
+    elapsed = time.process_time() - start
     status = "PASS" if ok and elapsed < budget else "FAIL"
     print(f"\nACCEPTANCE {num:2d} [{name}] {status}  {detail}  ({elapsed:.1f}s / budget {budget:.0f}s)")
     assert ok, f"criterion {num} ({name}): {detail}"
@@ -36,37 +41,30 @@ def _report(num, name, ok, detail, elapsed, budget):
 
 
 def test_01_oracle_identity_suite():
-    start = time.time()
-    families = [
-        (atomic_mixture(np.array([[-1.0], [1.0]]), sigma=0.25), LINEAR),
-        (atomic_mixture(np.array([[0.1, 0.2], [0.8, 0.6], [0.4, 0.9]]), sigma=0.5,
-                        weights=np.array([0.5, 0.3, 0.2])), FOLLMER),
-        (embed_target(atomic_mixture(np.array([[0.0], [1.0]]), sigma=0.4),
-                      np.linalg.qr(Rng(7).normal((3, 1)))[0]), LINEAR),
-    ]
-    res = verify.check_oracle_identities(n_probe=1000, tol=1e-10, seed=1001, families=families)
+    start = time.process_time()
+    res = verify.check_oracle_identities()
     _report(1, "oracle-identities", res.ok,
             f"max cross-identity deviation {res.values['worst']:.2e} "
             f"(tol 1e-10, 1000 probes x 3 families)",
-            time.time() - start, 5.0)
+            start, 5.0)
 
 
 def test_02_euler_discretization_order():
-    start = time.time()
-    res = verify.check_euler_order(sigma=0.5, T=0.9, d=2)
+    start = time.process_time()
+    res = verify.check_euler_order()
     _report(2, "euler-order", res.ok,
             f"W2 endpoint error slope {res.values['slope']:.3f} (r2 {res.values['r2']:.5f}) "
             f"over K in 10..160",
-            time.time() - start, 10.0)
+            start, 10.0)
 
 
 def test_03_exponential_integrator_superiority():
-    start = time.time()
-    res = verify.check_ei_beats_euler(sigma=0.5, T=0.9)
+    start = time.process_time()
+    res = verify.check_ei_beats_euler()
     rows = [f"K={K}:{ei:.2e}<={eu:.2e}" for K, ei, eu in res.values["rows"]]
     _report(3, "ei-beats-euler", res.ok,
             "linear ties within 1e-12, follmer strictly better at every K; " + " ".join(rows[:2]),
-            time.time() - start, 10.0)
+            start, 10.0)
 
 
 def _velocity_oracle_rmse(field, ctx, n_probe=8192, seed=900, T=0.9):
@@ -92,21 +90,21 @@ def _velocity_training_errors(n, data_seed, iterations):
 
 
 def test_04_velocity_training_vs_oracle():
-    start = time.time()
+    start = time.process_time()
     errs = _velocity_training_errors(16384, data_seed=200, iterations=5000)
     med = float(np.median(errs))
     _report(4, "velocity-training", med <= 0.1,
             f"median time-averaged L2 error {med:.4f} over seeds 0,1,2 (tol 0.1; errs {np.round(errs, 4)})",
-            time.time() - start, 120.0)
+            start, 120.0)
 
 
 def test_05_gaussian_end_to_end_marginal():
-    start = time.time()
-    res = verify.check_gaussian_marginal(sigma=0.5, T=0.99, K=200, m=8192, d=2, seed=77)
+    start = time.process_time()
+    res = verify.check_gaussian_marginal()
     std, target, rel = res.values["std"], res.values["target"], res.values["rel"]
     _report(5, "gaussian-marginal", res.ok,
             f"per-coordinate std {np.round(std, 5)} vs {target:.5f} (worst rel {rel:.4f}, tol 3%)",
-            time.time() - start, 5.0)
+            start, 5.0)
 
 
 def _swiss_roll_run(seed):
@@ -142,7 +140,7 @@ def _swiss_roll_run(seed):
 
 
 def test_06_swiss_roll_one_step():
-    start = time.time()
+    start = time.process_time()
     results = np.array([_swiss_roll_run(seed) for seed in (1, 2, 3)])
     w2_one, w2_euler, w2_multi = np.median(results, axis=0)
     ok = (w2_one <= 1.5 * w2_euler) and (w2_multi <= w2_one + 0.02)
@@ -150,33 +148,32 @@ def test_06_swiss_roll_one_step():
             f"median W2: one-step {w2_one:.4f} vs 1.5x euler-100 {1.5 * w2_euler:.4f}; "
             f"multi(4 nodes) {w2_multi:.4f} <= one-step + 0.02 "
             f"(per-seed rows {np.round(results, 4).tolist()})",
-            time.time() - start, 600.0)
+            start, 600.0)
 
 
 def test_07_semigroup_exactness():
-    start = time.time()
-    res = verify.check_semigroup_exactness(atoms=np.zeros((1, 2)), n_start=8, n_diag=64,
-                                           diag_times=(0.0, 0.45, 0.9), n_triples=60)
+    start = time.process_time()
+    res = verify.check_semigroup_exactness()
     _report(7, "semigroup-exactness", res.ok,
             "euler composition bit-exact={euler_exact}, g(t,t,x)=x exact={diag_exact}, "
             "lookup penalty={penalty}".format(**res.values),
-            time.time() - start, 1.0)
+            start, 1.0)
 
 
 def test_08_manifold_decomposition():
-    start = time.time()
-    res = verify.check_manifold_decomposition(n_probe=1000, seed=1313)
+    start = time.process_time()
+    res = verify.check_manifold_decomposition()
     _report(8, "manifold-decomposition", res.ok,
             "max |tangential + normal - velocity| = {worst:.2e} over 1000 probes (tol 1e-8)"
             .format(**res.values),
-            time.time() - start, 5.0)
+            start, 5.0)
 
 
 def test_09_gradient_correctness():
     from charflow.cgen import (global_loss, local_loss, make_teacher_flow, regression_loss,
                                sample_index_pairs, semigroup_penalty)
 
-    start = time.time()
+    start = time.process_time()
     rng = Rng(4242)
     target = atomic_mixture(np.array([[-1.0], [1.0]]), sigma=0.25)
     ctx = OracleContext(target, LINEAR)
@@ -244,15 +241,15 @@ def test_09_gradient_correctness():
 
     _report(9, "gradient-correctness", worst <= 1e-4 and checked >= 20,
             f"{checked} loss-gradient checks, worst FD relative error {worst:.2e} (tol 1e-4)",
-            time.time() - start, 30.0)
+            start, 30.0)
 
 
 def test_10_sample_size_monotonicity():
-    start = time.time()
+    start = time.process_time()
     medians = [float(np.median(_velocity_training_errors(n, data_seed=300, iterations=3000)))
                for n in (1024, 4096, 16384)]
     ok = medians[0] > medians[1] > medians[2]
     _report(10, "sample-size-monotonicity", ok,
             f"median oracle error by n: 1024 -> {medians[0]:.4f}, 4096 -> {medians[1]:.4f}, "
             f"16384 -> {medians[2]:.4f} (must strictly decrease)",
-            time.time() - start, 360.0)
+            start, 360.0)

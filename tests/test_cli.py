@@ -14,6 +14,7 @@ from charflow.net import Net, NetSpec, load_net, net_init, save_net
 from charflow.rng import Rng
 from charflow.target import load_points
 from charflow.velocity import TrainConfig, clip_gradient, train
+from test_net import flipped, length_offset, reframed
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -289,6 +290,106 @@ def test_checkpoint_of_the_other_role_is_refused(workspace, tmp_path, capsys,
     assert f"not a {ckpt.split('.')[0]} checkpoint" in lines[0] and f"`charflow {hint}`" in lines[0]
     after = {name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)}
     assert after == before
+
+
+def _trained(workspace, tmp_path):
+    """Train the tiny pipeline; returns {checkpoint: config of the `sample` run that reads it}."""
+    cfg, out = workspace
+    for step in ("gen-data", "train-velocity", "train-cg"):
+        assert _run(cfg, out, step) == 0
+    euler = tmp_path / "euler.ini"
+    euler.write_text(TINY_PIPELINE.replace("[sample]\n", "[sample]\nsampler = euler\nsteps = 4\n"))
+    return {"student.ckpt": cfg, "field.ckpt": str(euler)}
+
+
+def _with_extra(key, value):
+    return lambda header: {**header, "extra": {**header["extra"], key: value}}
+
+
+HEADER_EDITS = {
+    "stop_time-string": ("student.ckpt", "extra.stop_time", _with_extra("stop_time", "0.99")),
+    "plain-no": ("student.ckpt", "extra.plain", _with_extra("plain", "no")),
+    "role-bogus": ("field.ckpt", "extra.role", _with_extra("role", "bogus")),
+    "no-extra": ("student.ckpt", "no extra object",
+                 lambda header: {k: v for k, v in header.items() if k != "extra"}),
+    "json-list": ("field.ckpt", "not a JSON object", lambda header: [header]),
+    "length-bit-62": ("student.ckpt", "bytes left in the file", 62),
+    "length-bit-63": ("field.ckpt", "bytes left in the file", 63),
+}
+
+
+@pytest.mark.parametrize("edit", list(HEADER_EDITS))
+def test_edited_checkpoint_header_fails_with_one_line(workspace, tmp_path, capsys, edit):
+    configs = _trained(workspace, tmp_path)
+    ckpt, wording, change = HEADER_EDITS[edit]
+    path = os.path.join(workspace[1], ckpt)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    damaged = (flipped(raw, 8 * length_offset(raw) + change) if isinstance(change, int)
+               else reframed(raw, change))
+    with open(path, "wb") as fh:
+        fh.write(damaged)
+    capsys.readouterr()
+    assert _run(configs[ckpt], workspace[1], "sample") == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and path in lines[0] and wording in lines[0], lines
+
+
+def test_damaged_checkpoint_headers_fail_with_one_line_or_sample_the_same(workspace, tmp_path,
+                                                                         capsys):
+    # seeded damage: every third copy is cut short, the others flip 1-3 bits of the frame
+    # ahead of the body (magic, provenance, length, JSON header) or one bit of the length
+    configs = _trained(workspace, tmp_path)
+    out = workspace[1]
+    samples = os.path.join(out, "samples.csv")
+    rng = Rng(11)
+    draw = lambda high: int(rng.integers(high, (1,))[0])
+    outcomes = {"refused": 0, "same": 0, "value edited": 0}
+    for ckpt, cfg in configs.items():
+        path = os.path.join(out, ckpt)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        net, extra = load_net(path)
+        head_bits = 8 * (len(raw) - 8 * net.spec.param_count)
+        length_bit = 8 * length_offset(raw)
+        assert _run(cfg, out, "sample") == 0
+        with open(samples, "rb") as fh:
+            reference = fh.read()
+        os.remove(samples)
+        for i in range(150):
+            if i % 3 == 0:
+                damaged = raw[:draw(len(raw))]
+            elif i % 3 == 1:
+                damaged = raw
+                for _ in range(1 + draw(3)):
+                    damaged = flipped(damaged, draw(head_bits))
+            else:
+                damaged = flipped(raw, length_bit + draw(64))
+            with open(path, "wb") as fh:
+                fh.write(damaged)
+            capsys.readouterr()
+            code = _run(cfg, out, "sample")
+            err = capsys.readouterr().err.splitlines()
+            if code == 2:
+                assert len(err) == 1 and err[0].startswith(f"error: {path}"), (ckpt, i, err)
+                outcomes["refused"] += 1
+                continue
+            assert code == 0 and err == [], (ckpt, i, code, err)
+            with open(samples, "rb") as fh:
+                same = fh.read() == reference
+            os.remove(samples)
+            if not same:
+                # the frame carries no digest: a flipped digit of a float the command reads
+                # is read as another valid value; nothing else may change what is sampled
+                got_net, got_extra = load_net(path)
+                assert got_net.spec == net.spec and np.array_equal(got_net.params, net.params)
+                edited = [key for key in cli.CHECKPOINT_KEYS[ckpt] if got_extra[key] != extra[key]]
+                assert all(type(extra[key]) is float for key in edited), (ckpt, i, got_extra)
+            outcomes["same" if same else "value edited"] += 1
+        with open(path, "wb") as fh:
+            fh.write(raw)
+    print(f"damaged checkpoint outcomes: {outcomes}")
+    assert outcomes["refused"] > outcomes["same"] + outcomes["value edited"]
 
 
 @pytest.mark.parametrize("seed", [-1, SEED_MAX + 1, 2**64 - 1])

@@ -1,4 +1,5 @@
 import contextlib
+import json
 
 import numpy as np
 import pytest
@@ -299,23 +300,58 @@ def _framed_file(kind, path):
     return load_trajectories, 30
 
 
+def length_offset(raw):
+    """Offset of a frame's 8-byte header length: after the magic and provenance lines."""
+    return raw.index(b"\n", raw.index(b"\n") + 1) + 1
+
+
+def reframed(raw, edit):
+    """The frame ``raw`` with its JSON header replaced by ``edit(header)``, length rewritten."""
+    at = length_offset(raw)
+    end = at + 8 + int.from_bytes(raw[at:at + 8], "little")
+    blob = json.dumps(edit(json.loads(raw[at + 8:end]))).encode()
+    return raw[:at] + len(blob).to_bytes(8, "little") + blob + raw[end:]
+
+
+def flipped(raw, bit):
+    """``raw`` with bit ``bit`` (counted from the first byte's low bit) inverted."""
+    out = bytearray(raw)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
 @pytest.mark.parametrize("kind", ["checkpoint", "trajectories"])
 @pytest.mark.parametrize("damage", ["cut-3-bytes", "cut-16-bytes", "header-only", "8-extra-bytes",
-                                    "json-cut"])
+                                    "json-cut", "length-bit-62", "length-bit-63", "json-list"])
 def test_damaged_frame_error_names_the_file(tmp_path, kind, damage):
     path = tmp_path / "framed.bin"
     load, floats = _framed_file(kind, path)
     raw = path.read_bytes()
     body_start = len(raw) - 8 * floats
+    length_bit = 8 * length_offset(raw)
     damaged = {"cut-3-bytes": raw[:-3], "cut-16-bytes": raw[:-16], "header-only": raw[:body_start],
-               "8-extra-bytes": raw + bytes(8), "json-cut": raw[:body_start - 5]}[damage]
+               "8-extra-bytes": raw + bytes(8), "json-cut": raw[:body_start - 5],
+               "length-bit-62": flipped(raw, length_bit + 62),
+               "length-bit-63": flipped(raw, length_bit + 63),
+               "json-list": reframed(raw, lambda header: [header])}[damage]
     path.write_bytes(damaged)
     with pytest.raises(ValueError) as info:
         load(path)
     assert str(path) in str(info.value)
     found = (len(damaged) - body_start) / 8
-    assert ("unreadable" if damage == "json-cut" else
-            f"promises {floats} float64 values, found {found:.10g}") in str(info.value)
+    expected = {"json-cut": "unreadable", "json-list": "not a JSON object",
+                "length-bit-62": "bytes left in the file", "length-bit-63": "bytes left in the file"}
+    assert expected.get(damage, f"promises {floats} float64 values, found {found:.10g}") in str(info.value)
+
+
+def test_checkpoint_without_extra_is_refused(tmp_path):
+    path = tmp_path / "net.ckpt"
+    save_net(path, net_init(NetSpec(3, (5,), 2), 1))
+    path.write_bytes(reframed(path.read_bytes(),
+                              lambda header: {k: v for k, v in header.items() if k != "extra"}))
+    with pytest.raises(ValueError, match="no extra object") as info:
+        load_net(path)
+    assert str(path) in str(info.value)
 
 
 def _two_exp_act(z, kind):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from charflow.oracle import (OracleContext, conditional_cov_exact, denoiser_exact, flow_exact,
-                             gamma_coefficient, manifold_decompose, posterior_atom_weights,
-                             score_exact, velocity_exact)
+                             gamma_coefficient, manifold_decompose, score_exact,
+                             velocity_exact)
 from charflow.rng import Rng
 from charflow.schedule import Schedule
 from charflow.target import atomic_mixture, embed_target, swiss_roll
@@ -311,7 +311,6 @@ def _oracles_by_formula(ctx, t, X):
     ratio = (a * a / den)[:, None, None]
     gauss = (ctx.spec.sigma**2 * a * a / den)[:, None, None]
     return {
-        posterior_atom_weights: w,
         denoiser_exact: denoiser,
         velocity_exact: c_u[:, None] * mean_u + gam[:, None] * X,
         score_exact: (b[:, None] * denoiser - X) / (a * a)[:, None],

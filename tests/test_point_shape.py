@@ -15,8 +15,7 @@ from charflow.cgen import (CgTrainConfig, StudentNet, g_apply, global_loss, make
 from charflow.metrics import sliced_w2, w2_exact
 from charflow.net import NetSpec, net_init
 from charflow.oracle import (OracleContext, conditional_cov_exact, denoiser_exact, flow_exact,
-                             manifold_decompose, posterior_atom_weights, score_exact,
-                             velocity_exact)
+                             manifold_decompose, score_exact, velocity_exact)
 from charflow.sampler import TimeGrid, TrajectoryBatch, euler_flow, push_samples
 from charflow.schedule import Schedule
 from charflow.target import TargetSpec, as_points, atomic_mixture, embed_target, save_points
@@ -55,7 +54,6 @@ ENTRY_POINTS = {
     "velocity_exact": lambda x: velocity_exact(CTX, 0.5, x),
     "score_exact": lambda x: score_exact(CTX, 0.5, x),
     "conditional_cov_exact": lambda x: conditional_cov_exact(CTX, 0.5, x),
-    "posterior_atom_weights": lambda x: posterior_atom_weights(CTX, 0.5, x),
     "flow_exact": lambda x: flow_exact(CTX, 0.1, 0.5, x),
     "manifold_decompose": lambda x: manifold_decompose(EMB, 0.5, x),
     "draw_batch": lambda x: draw_batch(x, LINEAR, 0.9, 4, seed=0),

