@@ -366,7 +366,7 @@ class CgTrainConfig:
     teacher_steps: int = 8
     sigma_data: float | None = None
     plain: bool = False
-    clip_grad_norm: float | None = None
+    clip_grad_norm: float = 0.0      # 0 -> no clipping
 
     def __post_init__(self):
         if self.mode not in ("regression", "practical", "self-distill"):

@@ -58,8 +58,8 @@ class Rng:
             return float(z[0])
         return z.reshape(shape)
 
-    def integers(self, high: int, shape=None) -> np.ndarray:
-        """Uniform integers in [0, high), via floor(high * uniform)."""
+    def integers(self, high: int, shape) -> np.ndarray:
+        """Uniform integers in [0, high) of the given shape, via floor(high * uniform)."""
         if high <= 0:
             raise ValueError("high must be positive")
         u = self.uniform(shape)

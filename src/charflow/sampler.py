@@ -33,7 +33,6 @@ __all__ = [
     "NonFiniteState",
     "TimeGrid",
     "TrajectoryBatch",
-    "euler_flow",
     "push_samples",
     "integrate",
     "save_trajectories",
@@ -133,17 +132,6 @@ def _ei_step(denoiser, schedule: Schedule):
         return np.asarray(phi)[..., None] * X + np.asarray(psi)[..., None] * D
 
     return step
-
-
-def euler_flow(velocity, x0, grid: TimeGrid) -> np.ndarray:
-    """Forward-Euler trajectory of dx/dt = b(t, x) from each row of x0 (m, d).
-
-    Returns the states on every grid node, shaped (K+1, m, d).
-    """
-    X = as_points(x0, "x0")
-    out = np.empty((grid.steps + 1,) + X.shape)
-    integrate(_euler_step(velocity), X, grid.nodes, record=out)
-    return out
 
 
 def push_samples(method: str, field, m: int, dim: int, grid: TimeGrid, seed: int,

@@ -62,9 +62,9 @@ class TrainingDiverged(RuntimeError):
         self.losses = losses
 
 
-def clip_gradient(grad: np.ndarray, max_norm: float | None) -> np.ndarray:
-    """Rescale the gradient to the given norm when it exceeds it (None: off)."""
-    if max_norm is None or max_norm <= 0:
+def clip_gradient(grad: np.ndarray, max_norm: float) -> np.ndarray:
+    """Rescale the gradient to the given norm when it exceeds it (0: off)."""
+    if max_norm <= 0:
         return grad
     norm = float(np.linalg.norm(grad))
     if norm > max_norm:
@@ -73,7 +73,7 @@ def clip_gradient(grad: np.ndarray, max_norm: float | None) -> np.ndarray:
 
 
 def fit(net: Net, step, iterations: int, seed: int, adam: AdamState,
-        clip_grad_norm: float | None = None, ema: Net | None = None, ema_rate: float = 0.999):
+        clip_grad_norm: float = 0.0, ema: Net | None = None, ema_rate: float = 0.999):
     """Adam on ``net`` in place; returns the per-iteration losses.
 
     Iteration k takes ``(loss, grad) = step(Rng(seed, stream=1 + k))``, an
@@ -137,7 +137,7 @@ class TrainConfig:
     seed: int = 0
     loss: str = "velocity"           # "velocity" | "denoiser"
     sigma_data: float | None = None  # None -> estimated from the training set
-    clip_grad_norm: float | None = None
+    clip_grad_norm: float = 0.0      # 0 -> no clipping
 
     def __post_init__(self):
         if not 0.5 < self.stop_time < 1.0:

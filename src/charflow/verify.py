@@ -5,7 +5,7 @@ its raw values; ``run_all`` executes the whole battery.  The CLI ``verify``
 command renders the table and exits nonzero if anything fails.  These are
 the checks with closed-form or bit-exact answers.  Each runs one fixed
 protocol (targets, seeds, sizes) and takes no arguments, so ``charflow
-verify`` certifies exactly what acceptance criteria 01/02/03/05/07/08
+verify`` certifies exactly what acceptance criteria 01/02/03/05/07/08/09
 certify: those criteria call the same checks and add only their time
 budgets and report lines.  Training-quality criteria live in the acceptance
 suite, where their multi-minute budgets belong.
@@ -23,7 +23,7 @@ from .oracle import (OracleContext, denoiser_exact, gaussian_factors, manifold_d
                      score_exact, velocity_exact)
 from .rng import Rng
 from .schedule import Schedule, validate_schedule
-from .target import as_times, atomic_mixture, embed_target
+from .target import as_times, atomic_mixture, embed_target, sample_target
 
 __all__ = ["CheckResult", "run_all", "trajectory_lookup"]
 
@@ -155,15 +155,13 @@ def check_semigroup_exactness() -> CheckResult:
     ctx = OracleContext(atomic_mixture(np.zeros((1, 2)), sigma=0.5), Schedule("linear"))
     field = lambda t, X: velocity_exact(ctx, t, X)
     grid = sampler.TimeGrid(stop_time=0.9, steps=24)
-    x0 = Rng(3).normal((8, 2))
-    full = sampler.euler_flow(field, x0, grid)
-    j = 10
-    # restart from the stored intermediate state and finish on the same nodes
-    resumed = full[j].copy()
-    nodes = grid.nodes
+    batch = sampler.push_samples("euler", field, 6, 2, grid, seed=9)
+    # restart from the corpus state at node 10 and finish on the same nodes
+    nodes, j = grid.nodes, 10
+    resumed = batch.states[:, j].copy()
     for k in range(j, 24):
         resumed = resumed + (nodes[k + 1] - nodes[k]) * field(nodes[k], resumed)
-    bit_exact = np.array_equal(resumed, full[-1])
+    bit_exact = np.array_equal(resumed, batch.endpoints())
 
     student = cgen.StudentNet(
         net=nets.net_init(nets.NetSpec(4, (8,), 2), seed=1),
@@ -171,7 +169,6 @@ def check_semigroup_exactness() -> CheckResult:
     x = Rng(4).normal((64, 2))
     diag_exact = all(np.array_equal(cgen.g_apply(student, t, t, x), x) for t in (0.0, 0.45, 0.9))
 
-    batch = sampler.push_samples("euler", field, 6, 2, grid, seed=9)
     lookup = trajectory_lookup(batch)
     raw = Rng(5).integers(24, (60, 3))
     raw.sort(axis=1)
@@ -217,40 +214,76 @@ def check_manifold_decomposition() -> CheckResult:
 
 
 def check_gradients() -> CheckResult:
-    from .target import sample_target
+    """Each hand-written loss gradient against a central difference, on random small nets.
 
-    sch = Schedule("linear")
-    data = sample_target(atomic_mixture(np.array([[-1.0], [1.0]]), sigma=0.25), 128, seed=21)
-    spec = nets.NetSpec(2, (8, 8), 1, activation="silu")
-    net = nets.net_init(spec, seed=2)
-    batch = velocity.draw_batch(data, sch, 0.9, 32, seed=3)
-    _, grad = velocity.velocity_loss(net, batch)
-    rel = _fd_rel_error(lambda p: _loss_at(net, p, lambda n: velocity.velocity_loss(n, batch)[0]),
-                        net.params, grad)
-    return CheckResult("gradient-spot-check", rel < 1e-4, f"velocity-loss FD relative error {rel:.2e}")
+    Four trials draw hidden sizes and an activation; each checks the velocity,
+    denoiser, regression, semigroup (when its gradient is nonzero), local and
+    global losses along one random unit direction with h = 1e-6.
+    """
+    sch, rng = Schedule("linear"), Rng(4242)
+    target = atomic_mixture(np.array([[-1.0], [1.0]]), sigma=0.25)
+    ctx = OracleContext(target, sch)
+    data = sample_target(target, 512, seed=500)
+    rels = []
 
-
-def _loss_at(net, params, fn):
-    saved = net.params.copy()
-    net.params[:] = params
-    try:
-        return fn(net)
-    finally:
-        net.params[:] = saved
-
-
-def _fd_rel_error(loss_fn, params, grad, n_dirs: int = 6, h: float = 1e-5):
-    rng = Rng(17)
-    worst = 0.0
-    for _ in range(n_dirs):
+    def fd_check(params, loss_at, grad, h=1e-6):
         v = rng.normal(params.shape)
         v /= np.linalg.norm(v)
-        up = loss_fn(params + h * v)
-        dn = loss_fn(params - h * v)
-        fd = (up - dn) / (2.0 * h)
+        saved = params.copy()
+        params[:] = saved + h * v
+        up = loss_at()
+        params[:] = saved - h * v
+        dn = loss_at()
+        params[:] = saved
+        fd = (up - dn) / (2 * h)
         an = float(grad @ v)
-        worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-12))
-    return worst
+        rels.append(abs(fd - an) / max(abs(fd), abs(an), 1e-9))
+
+    for trial in range(4):
+        hidden = (int(4 + 8 * rng.uniform()), int(4 + 8 * rng.uniform()))
+        act = "silu" if rng.uniform() < 0.5 else "relu"
+        new_net = lambda d_in, seed: nets.net_init(nets.NetSpec(d_in, hidden, 1, act), seed)
+        batch = velocity.draw_batch(data, sch, 0.9, 16, seed=600 + trial)
+
+        net = new_net(2, trial)
+        _, grad = velocity.velocity_loss(net, batch)
+        fd_check(net.params, lambda: velocity.velocity_loss(net, batch)[0], grad)
+
+        net2 = new_net(2, trial + 50)
+        _, grad2 = velocity.denoiser_loss(net2, batch, 0.9, sch)
+        fd_check(net2.params, lambda: velocity.denoiser_loss(net2, batch, 0.9, sch)[0], grad2)
+
+        student = cgen.StudentNet(new_net(3, trial + 100), sch, 0.9, sigma_data=0.9)
+        corpus = sampler.push_samples("euler", lambda t, X: velocity_exact(ctx, t, X), 8, 1,
+                                      sampler.TimeGrid(0.9, 10), seed=700 + trial)
+        pairs = np.concatenate([rng.integers(8, (12,))[:, None],
+                                cgen.sample_index_pairs(rng, 12, 10)], axis=1)
+        _, grad3 = cgen.regression_loss(student, corpus, pairs)
+        fd_check(student.net.params, lambda: cgen.regression_loss(student, corpus, pairs)[0], grad3)
+
+        raw = rng.integers(10, (12, 3))
+        raw.sort(axis=1)
+        triples = np.concatenate([rng.integers(8, (12,))[:, None], raw], axis=1)
+        _, grad4 = cgen.semigroup_penalty(student, corpus, triples)
+        if grad4 is not None and np.linalg.norm(grad4) > 0:
+            fd_check(student.net.params,
+                     lambda: cgen.semigroup_penalty(student, corpus, triples)[0], grad4)
+
+        _, grad5 = cgen.local_loss(student, batch)
+        fd_check(student.net.params, lambda: cgen.local_loss(student, batch)[0], grad5)
+
+        offline = cgen.StudentNet(new_net(3, trial + 150), sch, 0.9, sigma_data=0.9)
+        teacher = cgen.make_teacher_flow(lambda t, X: denoiser_exact(ctx, t, X), sch, steps=2)
+        u = batch.t + (0.9 - batch.t) * rng.uniform(16)
+        s = u + (0.9 - u) * rng.uniform(16)
+        _, grad6 = cgen.global_loss(student, offline, teacher, batch, u, s)
+        fd_check(student.net.params,
+                 lambda: cgen.global_loss(student, offline, teacher, batch, u, s)[0], grad6)
+
+    worst, checked = max(rels), len(rels)
+    return CheckResult("gradient-correctness", worst <= 1e-4 and checked >= 20,
+                       f"{checked} loss-gradient checks, worst FD relative error {worst:.2e} "
+                       f"(tol 1e-4)", {"worst": worst, "checked": checked})
 
 
 def check_w2_sanity() -> CheckResult:

@@ -2,8 +2,8 @@
 
 Every criterion has one fixed protocol (target, seeds, budgets) so a green
 run certifies the stated tolerances, not a lucky configuration.  The
-closed-form criteria (01, 02, 03, 05, 07, 08) run the ``charflow verify``
-checks, which hold their protocol themselves and take no arguments, so
+closed-form and exactness criteria (01, 02, 03, 05, 07, 08, 09) run the
+``charflow verify`` checks, which hold their protocol themselves and take no arguments, so
 ``charflow verify`` passing certifies the same facts; their budgets and
 report lines are kept here.  The training criteria are implemented here.
 A budget bounds the process CPU time (``time.process_time``), which other
@@ -15,17 +15,15 @@ import time
 import numpy as np
 
 from charflow import verify
-from charflow.cgen import CgTrainConfig, StudentNet, multi_step, one_step, train_cg
+from charflow.cgen import CgTrainConfig, multi_step, one_step, train_cg
 from charflow.metrics import w2_exact
-from charflow.net import NetSpec, net_init
-from charflow.oracle import OracleContext, denoiser_exact, velocity_exact
-from charflow.rng import Rng
+from charflow.net import NetSpec
+from charflow.oracle import OracleContext, velocity_exact
 from charflow.sampler import TimeGrid, push_samples
 from charflow.schedule import Schedule
 from charflow.target import atomic_mixture, sample_target, swiss_roll
-from charflow.velocity import (TrainConfig, denoiser_loss, draw_batch, estimate_sigma_data,
-                               make_denoiser, make_velocity, train, velocity_from_denoiser,
-                               velocity_loss)
+from charflow.velocity import (TrainConfig, draw_batch, estimate_sigma_data, make_denoiser,
+                               make_velocity, train, velocity_from_denoiser)
 
 LINEAR = Schedule("linear")
 FOLLMER = Schedule("follmer")
@@ -170,78 +168,9 @@ def test_08_manifold_decomposition():
 
 
 def test_09_gradient_correctness():
-    from charflow.cgen import (global_loss, local_loss, make_teacher_flow, regression_loss,
-                               sample_index_pairs, semigroup_penalty)
-
     start = time.process_time()
-    rng = Rng(4242)
-    target = atomic_mixture(np.array([[-1.0], [1.0]]), sigma=0.25)
-    ctx = OracleContext(target, LINEAR)
-    data = sample_target(target, 512, seed=500)
-    worst = 0.0
-    checked = 0
-
-    def fd_check(params, loss_at, grad, h=1e-6):
-        nonlocal worst, checked
-        v = rng.normal(params.shape)
-        v /= np.linalg.norm(v)
-        saved = params.copy()
-        params[:] = saved + h * v
-        up = loss_at()
-        params[:] = saved - h * v
-        dn = loss_at()
-        params[:] = saved
-        fd = (up - dn) / (2 * h)
-        an = float(grad @ v)
-        rel = abs(fd - an) / max(abs(fd), abs(an), 1e-9)
-        worst = max(worst, rel)
-        checked += 1
-        return rel
-
-    for trial in range(4):
-        hidden = (int(4 + 8 * rng.uniform()), int(4 + 8 * rng.uniform()))
-        act = "silu" if rng.uniform() < 0.5 else "relu"
-        batch = draw_batch(data, LINEAR, 0.9, 16, seed=600 + trial)
-
-        net = net_init(NetSpec(2, hidden, 1, activation=act), trial)
-        _, grad = velocity_loss(net, batch)
-        fd_check(net.params, lambda: velocity_loss(net, batch)[0], grad)
-
-        net2 = net_init(NetSpec(2, hidden, 1, activation=act), trial + 50)
-        _, grad2 = denoiser_loss(net2, batch, 0.9, LINEAR)
-        fd_check(net2.params, lambda: denoiser_loss(net2, batch, 0.9, LINEAR)[0], grad2)
-
-        student = StudentNet(net_init(NetSpec(3, hidden, 1, activation=act), trial + 100),
-                             LINEAR, 0.9, sigma_data=0.9)
-        corpus = push_samples("euler", lambda t, X: velocity_exact(ctx, t, X), 8, 1,
-                              TimeGrid(0.9, 10), seed=700 + trial)
-        pairs = np.concatenate([rng.integers(8, (12,))[:, None],
-                                sample_index_pairs(rng, 12, 10)], axis=1)
-        _, grad3 = regression_loss(student, corpus, pairs)
-        fd_check(student.net.params, lambda: regression_loss(student, corpus, pairs)[0], grad3)
-
-        raw = rng.integers(10, (12, 3))
-        raw.sort(axis=1)
-        triples = np.concatenate([rng.integers(8, (12,))[:, None], raw], axis=1)
-        _, grad4 = semigroup_penalty(student, corpus, triples)
-        if grad4 is not None and np.linalg.norm(grad4) > 0:
-            fd_check(student.net.params, lambda: semigroup_penalty(student, corpus, triples)[0], grad4)
-
-        _, grad5 = local_loss(student, batch)
-        fd_check(student.net.params, lambda: local_loss(student, batch)[0], grad5)
-
-        offline = StudentNet(net_init(NetSpec(3, hidden, 1, activation=act), trial + 150),
-                             LINEAR, 0.9, sigma_data=0.9)
-        teacher = make_teacher_flow(lambda t, X: denoiser_exact(ctx, t, X), LINEAR, steps=2)
-        u = batch.t + (0.9 - batch.t) * rng.uniform(16)
-        s = u + (0.9 - u) * rng.uniform(16)
-        _, grad6 = global_loss(student, offline, teacher, batch, u, s)
-        fd_check(student.net.params, lambda: global_loss(student, offline, teacher, batch, u, s)[0],
-                 grad6)
-
-    _report(9, "gradient-correctness", worst <= 1e-4 and checked >= 20,
-            f"{checked} loss-gradient checks, worst FD relative error {worst:.2e} (tol 1e-4)",
-            start, 30.0)
+    res = verify.check_gradients()
+    _report(9, "gradient-correctness", res.ok, res.detail, start, 30.0)
 
 
 def test_10_sample_size_monotonicity():

@@ -42,7 +42,7 @@ def test_bad_args():
     with pytest.raises(ValueError):
         Rng(-1)
     with pytest.raises(ValueError):
-        Rng(0).integers(0)
+        Rng(0).integers(0, (1,))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 16, 17])

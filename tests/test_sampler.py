@@ -8,7 +8,7 @@ from charflow.oracle import OracleContext, denoiser_exact, flow_exact, velocity_
 from charflow.rng import Rng
 from charflow.rng import stream_normals
 from charflow.sampler import (TRAJECTORY_MAGIC, NonFiniteState, TimeGrid, TrajectoryBatch,
-                              _ei_step, euler_flow, integrate, load_trajectories, push_samples,
+                              _ei_step, _euler_step, integrate, load_trajectories, push_samples,
                               save_trajectories)
 from charflow.schedule import Schedule
 from charflow.target import atomic_mixture
@@ -42,9 +42,10 @@ class TestEulerFlow:
         c = np.array([0.3, -0.7])
         for K in (1, 7, 64):
             grid = TimeGrid(stop_time=0.9, steps=K)
-            traj = euler_flow(lambda t, X: np.broadcast_to(c, X.shape), np.zeros((1, 2)), grid)[:, 0, :]
-            assert traj.shape == (K + 1, 2)
-            assert np.max(np.abs(traj[-1] - 0.9 * c)) < 1e-12
+            end = integrate(_euler_step(lambda t, X: np.broadcast_to(c, X.shape)),
+                            np.zeros((1, 2)), grid.nodes)
+            assert end.shape == (1, 2)
+            assert np.max(np.abs(end[0] - 0.9 * c)) < 1e-12
 
     def test_first_order_error_halves(self):
         ctx = OracleContext(GAUSS2, LINEAR)
@@ -52,27 +53,17 @@ class TestEulerFlow:
         exact = flow_exact(ctx, 0.0, 0.99, x0, tol=1e-12)
         errs = []
         for K in (100, 200, 400):
-            end = euler_flow(_field(ctx), x0, TimeGrid(0.99, K))[-1]
+            end = integrate(_euler_step(_field(ctx)), x0, TimeGrid(0.99, K).nodes)
             errs.append(np.linalg.norm(end - exact))
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.15)
         assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.15)
-
-    def test_composition_bit_exact(self):
-        ctx = OracleContext(GAUSS2, LINEAR)
-        grid = TimeGrid(0.9, 32)
-        x0 = Rng(1).normal((3, 2))
-        full = euler_flow(_field(ctx), x0, grid)
-        resumed = full[12].copy()
-        for k in range(12, 32):
-            resumed = resumed + (grid.nodes[k + 1] - grid.nodes[k]) * _field(ctx)(grid.nodes[k], resumed)
-        assert np.array_equal(resumed, full[-1])
 
     def test_non_finite_state_reports_step(self):
         def bad(t, X):
             return np.full_like(X, np.inf)
 
         with pytest.raises(RuntimeError, match="step 1"):
-            euler_flow(bad, np.zeros((1, 2)), TimeGrid(0.9, 4))
+            integrate(_euler_step(bad), np.zeros((1, 2)), TimeGrid(0.9, 4).nodes)
 
 
 class TestEiFlow:
@@ -114,7 +105,7 @@ class TestEiFlow:
             exact = flow_exact(ctx, 0.0, 0.9, x0, tol=1e-12)
             for K in (10, 40, 160):
                 grid = TimeGrid(0.9, K)
-                err_eu = np.linalg.norm(euler_flow(vel, x0, grid)[-1] - exact)
+                err_eu = np.linalg.norm(integrate(_euler_step(vel), x0, grid.nodes) - exact)
                 err_ei = np.linalg.norm(integrate(_ei_step(den, schedule), x0, grid.nodes) - exact)
                 if strict:
                     assert err_ei < err_eu
@@ -128,8 +119,9 @@ class TestPushSamples:
         grid = TimeGrid(0.9, 16)
         batch = push_samples("euler", _field(ctx), 1, 2, grid, seed=3)
         x0 = Rng(3, stream=0).normal((2,))
-        direct = euler_flow(_field(ctx), x0[None, :], grid)
-        assert np.array_equal(batch.states[0], np.swapaxes(direct, 0, 1)[0])
+        direct = np.empty((17, 1, 2))
+        integrate(_euler_step(_field(ctx)), x0[None, :], grid.nodes, record=direct)
+        assert np.array_equal(batch.states[0], direct[:, 0])
 
     def test_deterministic(self):
         ctx = OracleContext(GAUSS2, LINEAR)

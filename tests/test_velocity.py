@@ -209,7 +209,7 @@ class TestTrain:
         g = np.array([3.0, 4.0])
         assert np.allclose(clip_gradient(g, 1.0), g / 5.0)
         assert np.array_equal(clip_gradient(g, 10.0), g)
-        assert np.array_equal(clip_gradient(g, None), g)
+        assert np.array_equal(clip_gradient(g, 0.0), g)
         spec = NetSpec(2, (8,), 1, activation="silu")
         cfg_clip = TrainConfig(schedule=LINEAR, net_spec=spec, stop_time=0.9,
                                iterations=20, batch_size=16, seed=7, clip_grad_norm=0.1)
